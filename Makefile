@@ -1,6 +1,6 @@
 # Convenience targets for the DISC reproduction.
 
-.PHONY: all test bench bench-check bench-serve bench-serve-scale bench-micro profile repro repro-quick soak soak-resume boards-check serve serve-smoke fuzz fuzz-long reports docs clippy examples clean
+.PHONY: all test bench bench-check bench-serve bench-serve-scale profile repro repro-quick soak soak-resume boards-check serve serve-smoke fuzz fuzz-long reports docs clippy examples clean
 
 all: test
 
@@ -35,9 +35,6 @@ bench-serve:
 # DISC_SERVE_WORKERS for single-point runs via plain bench-serve.
 bench-serve-scale:
 	cargo run --release -p disc-bench --bin bench_serve -- --scale
-
-bench-micro:
-	cargo bench --workspace
 
 # Profiler wrapper over the bench hot path: builds the single-workload
 # profile_target with the `profiling` profile (release codegen + debug

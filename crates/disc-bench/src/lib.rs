@@ -1,8 +1,8 @@
 //! Benchmark and reproduction harness.
 //!
 //! Every table and figure of the paper has a generator here (exercised by
-//! the `src/bin` targets and unit tests) and a Criterion micro-benchmark
-//! under `benches/`. Table generators live in `disc-stoch`; this crate
+//! the `src/bin` targets and unit tests). Table generators live in
+//! `disc-stoch`; this crate
 //! adds the figure reproductions, which run on the *cycle-accurate*
 //! machine, plus the latency and synchronization experiments.
 

@@ -8,7 +8,9 @@
 //!   diagnostic counters included), and
 //! * across combos, the architectural outcome — `MachineStats`,
 //!   attribution bucket for bucket — must be identical, because step and
-//!   dispatch modes are pure execution strategies.
+//!   dispatch modes are pure execution strategies, and
+//! * burst pacing must not depend on the step mode: where event skip
+//!   never fires, both step modes take the same superblock bursts.
 //!
 //! This is what pins the new bus citizens (DMA, block storage, packet
 //! port) and faulted boards to the same invisibility contract the
@@ -70,6 +72,7 @@ fn drive(m: &mut Machine, target: u64, irqs: &[(u64, usize, u8)]) {
 fn assert_board_matrix(name: &str, horizon: u64, irqs: &[(u64, usize, u8)]) {
     let board = load_board(name);
     let mut reference_stats: Option<String> = None;
+    let mut cycle_by_cycle_bursts = None;
 
     for (dispatch, step) in COMBOS {
         let tag = format!("{name} [{dispatch:?}/{step:?}]");
@@ -89,6 +92,18 @@ fn assert_board_matrix(name: &str, horizon: u64, irqs: &[(u64, usize, u8)]) {
             None => reference_stats = Some(stats),
             Some(reference) => {
                 assert_eq!(&stats, reference, "{tag}: stats diverge across combos")
+            }
+        }
+        if dispatch == DispatchMode::Superblock {
+            let bursts = *oneshot.superblock_stats();
+            if step == StepMode::CycleByCycle {
+                cycle_by_cycle_bursts = Some(bursts);
+            } else if oneshot.skip_stats().skips == 0 {
+                assert_eq!(
+                    Some(bursts),
+                    cycle_by_cycle_bursts,
+                    "{tag}: burst pacing depends on the step mode"
+                );
             }
         }
 

@@ -53,7 +53,7 @@ pub trait Peripheral: Send {
         let _ = cycles;
     }
 
-    /// Serializes the device's mutable state as an opaque `disc-snap/v1`
+    /// Serializes the device's mutable state as an opaque `disc-snap/v2`
     /// component blob, aggregated into machine snapshots by
     /// [`PeripheralBus::save_state`](disc_core::DataBus::save_state).
     /// Mirrors [`DataBus::save_state`]: the default (empty blob) is only

@@ -221,7 +221,7 @@ impl Abi {
     }
 
     /// Serializes the interface state, including any in-flight
-    /// transaction (`disc-snap/v1` component).
+    /// transaction (`disc-snap/v2` component).
     pub(crate) fn save_into(&self, w: &mut SnapWriter) {
         match &self.current {
             None => w.put_u8(0),

@@ -72,16 +72,16 @@ pub enum StepMode {
 /// function-pointer table, and — whenever the machine is in a
 /// *hazard-frozen* state (no outstanding bus transaction, no spill/fill
 /// stall, no in-flight window motion, no deliverable vectored interrupt,
-/// no attached trace sink) — runs cached straight-line superblocks of
+/// no per-cycle trace sink) — runs cached straight-line superblocks of
 /// predecoded ops in a tight loop with bulk cycle/stat/attribution
-/// updates. The run length is bounded by the same
-/// [`DataBus::next_event`](crate::DataBus::next_event) wake machinery
-/// that powers [`StepMode::EventSkip`], so no peripheral tick, fault-plan
-/// window edge or interrupt is ever jumped over; a block ends at any
-/// branch/fork/signal/bus op or wake-source boundary. Architectural
-/// state, statistics, cycle attribution, traces and reports are
-/// byte-identical between the two modes — the differential fuzzer and the
-/// superblock equivalence suite pin this.
+/// updates. The run length is bounded by the same horizon (bus
+/// [`DataBus::next_event`](crate::DataBus::next_event), sink boundaries,
+/// budget) that bounds [`StepMode::EventSkip`] skips, so no peripheral
+/// tick, fault-plan window edge or interrupt is ever jumped over; a
+/// block ends at any branch/fork/signal/bus op or wake-source boundary.
+/// Architectural state, statistics, cycle attribution, traces and reports
+/// are byte-identical between the two modes — the differential fuzzer and
+/// the superblock equivalence suite pin this.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DispatchMode {
     /// Threaded-code dispatch plus superblock caching (default).
@@ -267,7 +267,7 @@ impl MachineConfig {
     /// count, never the architectural outcome — which is what lets one
     /// warm snapshot fork across every step/dispatch knob combination.
     ///
-    /// This is the fingerprint embedded in `disc-snap/v1` headers; the
+    /// This is the fingerprint embedded in `disc-snap/v2` headers; the
     /// `disc-obs` report fingerprint renders the same value as hex.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0x44495343; // "DISC"

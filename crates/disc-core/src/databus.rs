@@ -77,7 +77,7 @@ pub trait DataBus: Send {
         let _ = cycles;
     }
 
-    /// Serializes the bus's mutable state as an opaque `disc-snap/v1`
+    /// Serializes the bus's mutable state as an opaque `disc-snap/v2`
     /// component blob, embedded verbatim in machine snapshots.
     ///
     /// The default (empty blob) is only sound for stateless buses; any

@@ -89,7 +89,7 @@ impl InternalMemory {
     }
 
     /// Serializes the memory contents and access counters
-    /// (`disc-snap/v1` component).
+    /// (`disc-snap/v2` component).
     pub(crate) fn save_into(&self, w: &mut disc_snap::SnapWriter) {
         w.put_usize(self.words.len());
         for &word in &self.words {

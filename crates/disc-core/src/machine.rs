@@ -279,7 +279,7 @@ fn burst_safe(instr: &Instruction) -> bool {
 /// One predecoded program word: the instruction, its handler index and
 /// every per-instruction property the fetch and execute paths need, so
 /// the per-cycle hot path is pure table lookups.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct OpEntry {
     instr: Instruction,
     /// Handler index into [`HANDLERS`]; [`K_FAULT`] for words that do not
@@ -421,7 +421,6 @@ pub struct Machine {
     halted: bool,
     next_seq: u64,
     idle_exit: bool,
-    legacy_decode: bool,
     trace: Option<Box<dyn TraceSink>>,
     irq_buf: Vec<IrqRequest>,
     events: Vec<TraceEvent>,
@@ -520,7 +519,6 @@ impl Machine {
             halted: false,
             next_seq: 0,
             idle_exit: true,
-            legacy_decode: false,
             trace: None,
             irq_buf: Vec::new(),
             events: Vec::new(),
@@ -577,14 +575,6 @@ impl Machine {
     /// into [`MachineStats::reallocations`] every cycle.
     pub fn scheduler_reallocations(&self) -> u64 {
         self.scheduler.reallocated()
-    }
-
-    /// Forces the original per-cycle decode path instead of the
-    /// predecoded store. Cycle-for-cycle behavior must be identical; this
-    /// switch exists so the differential test suite can prove it.
-    #[doc(hidden)]
-    pub fn set_legacy_decode(&mut self, enabled: bool) {
-        self.legacy_decode = enabled;
     }
 
     /// The internal 2 KB memory.
@@ -764,6 +754,27 @@ impl Machine {
 
     /// Runs until halt, breakpoint, idleness or the cycle budget expires.
     ///
+    /// This is the one cycle loop. Every cycle is the scheduler's
+    /// decision exactly as in [`step`](Self::step); two fast-forwards
+    /// cover stretches whose outcome is known in advance, both bounded by
+    /// the same wake horizon (ABI completion or timeout, the bus's next
+    /// event, spill-stall expiry, the trace sink's next observation, the
+    /// budget):
+    ///
+    /// * under [`StepMode::EventSkip`], a provably quiescent machine
+    ///   jumps straight to the horizon with one bulk counter update;
+    /// * otherwise, under [`DispatchMode::Superblock`] with no probe
+    ///   backoff pending, a hazard-frozen machine bursts up to the horizon
+    ///   through the superblock fast path.
+    ///
+    /// A burst the machine ends is always followed by one slow step,
+    /// which owns the instruction or event that ended it. `Halted`,
+    /// `Breakpoint` and the `AllIdle` exit arise only from slow steps.
+    /// All pacing state (probe backoff, budget-truncated skips and
+    /// bursts) lives on the machine, so chunking a run into several `run`
+    /// calls reaches the same state — counters included — as one big
+    /// call.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::Decode`] when a stream fetches an undecodable
@@ -784,12 +795,45 @@ impl Machine {
         if self.idle_exit && self.all_idle() {
             return Ok(Exit::AllIdle);
         }
-        let exit = if self.config.step_mode == StepMode::EventSkip {
-            self.run_event_skip(max_cycles)?
-        } else if self.config.dispatch_mode == DispatchMode::Superblock {
-            self.run_superblock(max_cycles)?
-        } else {
-            self.run_cycle_by_cycle(max_cycles)?
+        let skip = self.config.step_mode == StepMode::EventSkip;
+        let superblock = self.config.dispatch_mode == DispatchMode::Superblock;
+        let mut remaining = max_cycles;
+        let exit = loop {
+            if remaining == 0 {
+                break Exit::CycleLimit;
+            }
+            if skip {
+                // Checked before bursts, so skips are never split into
+                // bursts.
+                if self.quiescent() {
+                    let n = self.horizon(remaining) - self.cycle;
+                    if n > 0 {
+                        self.apply_skip(n, n == remaining);
+                        remaining -= n;
+                        continue;
+                    }
+                }
+                self.skip_carry = false;
+            }
+            if superblock {
+                if self.sb_backoff == 0 {
+                    remaining -= self.burst(remaining)?;
+                    if remaining == 0 {
+                        break Exit::CycleLimit;
+                    }
+                } else {
+                    self.sb_backoff -= 1;
+                }
+            }
+            match self.step()? {
+                Status::Running => {}
+                Status::Halted => break Exit::Halted,
+                Status::Breakpoint { stream, pc } => break Exit::Breakpoint { stream, pc },
+            }
+            remaining -= 1;
+            if self.idle_exit && self.all_idle() {
+                break Exit::AllIdle;
+            }
         };
         if matches!(exit, Exit::Halted | Exit::AllIdle) {
             // The run ended for good (not a budget/breakpoint boundary):
@@ -828,104 +872,6 @@ impl Machine {
         })
     }
 
-    /// The original per-cycle `run` loop ([`DispatchMode::Legacy`] under
-    /// [`StepMode::CycleByCycle`]).
-    fn run_cycle_by_cycle(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
-        for _ in 0..max_cycles {
-            match self.step()? {
-                Status::Running => {}
-                Status::Halted => return Ok(Exit::Halted),
-                Status::Breakpoint { stream, pc } => return Ok(Exit::Breakpoint { stream, pc }),
-            }
-            if self.idle_exit && self.all_idle() {
-                return Ok(Exit::AllIdle);
-            }
-        }
-        Ok(Exit::CycleLimit)
-    }
-
-    /// [`run`](Self::run) under [`DispatchMode::Superblock`]: identical to
-    /// the per-cycle loop except that, whenever the machine is in a
-    /// hazard-frozen state, stretches of cycles execute through the
-    /// superblock fast path in one call instead of one `step` each.
-    /// `Halted`, `Breakpoint` and the `AllIdle` exit can only arise from
-    /// slow steps — superblock runs reject machine-control instructions
-    /// and (with idle-exit armed) all-idle stretches at entry.
-    fn run_superblock(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
-        let mut remaining = max_cycles;
-        while remaining > 0 {
-            if self.sb_backoff == 0 {
-                let n = self.burst(remaining)?;
-                remaining -= n;
-                if remaining == 0 {
-                    return Ok(Exit::CycleLimit);
-                }
-            } else {
-                self.sb_backoff -= 1;
-            }
-            match self.step()? {
-                Status::Running => {}
-                Status::Halted => return Ok(Exit::Halted),
-                Status::Breakpoint { stream, pc } => return Ok(Exit::Breakpoint { stream, pc }),
-            }
-            remaining -= 1;
-            if self.idle_exit && self.all_idle() {
-                return Ok(Exit::AllIdle);
-            }
-        }
-        Ok(Exit::CycleLimit)
-    }
-
-    /// [`run`](Self::run) under [`StepMode::EventSkip`]: identical to the
-    /// cycle-by-cycle loop except that, whenever the machine is provably
-    /// quiescent (nothing can issue, execute or change state), time jumps
-    /// straight to the next wake event with one bulk counter update
-    /// instead of stepping through the stall cycles one by one. Under
-    /// [`DispatchMode::Superblock`] the non-quiescent stretches
-    /// additionally go through the superblock fast path; quiescence is
-    /// checked first so skips are never split into bursts.
-    ///
-    /// All checks happen at the top of the loop, before the step, and all
-    /// pacing state (probe backoff, budget-truncated skips and bursts)
-    /// lives on the machine, so chunking a run into several `run` calls
-    /// reaches the same state — counters included — as one big call.
-    fn run_event_skip(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
-        let superblock = self.config.dispatch_mode == DispatchMode::Superblock;
-        let mut remaining = max_cycles;
-        while remaining > 0 {
-            if self.quiescent() {
-                let n = self.next_wake(remaining) - self.cycle;
-                if n > 0 {
-                    self.apply_skip(n, n == remaining);
-                    remaining -= n;
-                    continue;
-                }
-            }
-            self.skip_carry = false;
-            if superblock {
-                if self.sb_backoff == 0 {
-                    let n = self.burst(remaining)?;
-                    if n > 0 {
-                        remaining -= n;
-                        continue;
-                    }
-                } else {
-                    self.sb_backoff -= 1;
-                }
-            }
-            match self.step()? {
-                Status::Running => {}
-                Status::Halted => return Ok(Exit::Halted),
-                Status::Breakpoint { stream, pc } => return Ok(Exit::Breakpoint { stream, pc }),
-            }
-            remaining -= 1;
-            if self.idle_exit && self.all_idle() {
-                return Ok(Exit::AllIdle);
-            }
-        }
-        Ok(Exit::CycleLimit)
-    }
-
     /// Probes and runs one superblock burst of at most `budget` cycles,
     /// carrying budget-truncated bursts across `run` calls: a burst cut
     /// by the cycle budget is resumed by the next probe (no entry-reject
@@ -957,7 +903,7 @@ impl Machine {
     /// beyond counter ticks: the pipeline is empty, no stream can issue
     /// (inactive, bus-waiting or spill-stalled), and no stream would take
     /// a vectored interrupt. Peripheral/ABI/sink activity is bounded
-    /// separately by [`next_wake`](Self::next_wake).
+    /// separately by [`horizon`](Self::horizon).
     fn quiescent(&self) -> bool {
         if self.live_slots != 0 {
             return false;
@@ -983,7 +929,12 @@ impl Machine {
     /// transaction's completion (or fault-policy timeout), the bus's next
     /// peripheral event, the spill-stall expiry of any stream that would
     /// become issuable, and the attached sink's next observation.
-    fn next_wake(&self, budget: u64) -> u64 {
+    ///
+    /// Both fast-forwards of [`run`](Self::run) stop here. Superblock
+    /// entry rules out an ABI transaction and spill stalls, so for a burst
+    /// the bound reduces to the budget, the bus and the sink — exact all
+    /// the same.
+    fn horizon(&self, budget: u64) -> u64 {
         let now = self.cycle;
         let mut wake = now.saturating_add(budget);
         if let Some(txn) = self.abi.current() {
@@ -1020,13 +971,23 @@ impl Machine {
         wake
     }
 
+    /// One quiescence skip of `n` cycles. `truncated` marks a skip cut
+    /// short by the caller's cycle budget rather than by a wake event; the
+    /// continuation applied by the next `run` call then extends this skip
+    /// instead of counting a new one.
+    fn apply_skip(&mut self, n: u64, truncated: bool) {
+        self.advance_quiescent(n);
+        if !self.skip_carry {
+            self.skip_stats.skips += 1;
+        }
+        self.skip_carry = truncated;
+        self.skip_stats.cycles_skipped += n;
+    }
+
     /// Bulk-applies `n` quiescent cycles: exactly the counter updates `n`
     /// individual steps would have made, without touching architectural
-    /// state (which [`quiescent`](Self::quiescent) proved frozen).
-    /// `truncated` marks a skip cut short by the caller's cycle budget
-    /// rather than by a wake event; the continuation applied by the next
-    /// `run` call then extends this skip instead of counting a new one.
-    fn apply_skip(&mut self, n: u64, truncated: bool) {
+    /// state (which the caller proved frozen).
+    fn advance_quiescent(&mut self, n: u64) {
         debug_assert!(n > 0);
         for (s, st) in self.streams.iter_mut().enumerate() {
             let dec = n.min(u64::from(st.spill_stall));
@@ -1059,14 +1020,9 @@ impl Machine {
         self.scheduler.advance_idle(n);
         self.abi.advance(n);
         self.bus.advance(n);
-        if !self.skip_carry {
-            self.skip_stats.skips += 1;
-        }
-        self.skip_carry = truncated;
-        self.skip_stats.cycles_skipped += n;
         debug_assert!(
             (0..self.streams.len()).all(|s| self.stats.attribution.total(s) == self.stats.cycles),
-            "cycle attribution diverged from elapsed cycles during a skip"
+            "cycle attribution diverged from elapsed cycles during a quiescent stretch"
         );
     }
 
@@ -1084,6 +1040,51 @@ impl Machine {
         }
     }
 
+    /// Superblock entry check: the active-stream mask and the cycle limit
+    /// of a burst starting now, or `None` when the machine is not
+    /// hazard-frozen or the horizon is this very cycle.
+    fn burst_entry(&self, budget: u64) -> Option<(u32, u64)> {
+        // A sink that frames every cycle pins bursts off entirely; a
+        // boundary-sampling sink merely bounds the run via the horizon.
+        if self.halted
+            || self.trace.as_ref().is_some_and(|sink| sink.wants_records())
+            || self.abi.busy()
+            || self.scheduler.sequence().is_none()
+        {
+            return None;
+        }
+        let mut active_mask: u32 = 0;
+        for (s, st) in self.streams.iter().enumerate() {
+            if st.wait != WaitState::None
+                || st.spill_stall > 0
+                || st.window_moves > 0
+                || st
+                    .pending_interrupt()
+                    .is_some_and(|bit| st.vectors[bit as usize].is_some())
+            {
+                return None;
+            }
+            if st.active() {
+                active_mask |= 1 << s;
+            }
+        }
+        // The slow loop owns the AllIdle exit: a run entered here would
+        // cover cycles `run` must never execute.
+        if active_mask == 0 && self.idle_exit {
+            return None;
+        }
+        if self
+            .pipe
+            .iter()
+            .flatten()
+            .any(|slot| !burst_safe(&slot.instr))
+        {
+            return None;
+        }
+        let limit = self.horizon(budget) - self.cycle;
+        (limit > 0).then_some((active_mask, limit))
+    }
+
     /// Attempts a superblock run of at most `budget` cycles; returns the
     /// cycles covered (0 when the machine is not in a burst-eligible
     /// state).
@@ -1093,22 +1094,18 @@ impl Machine {
     /// to be *hazard-frozen*: no trace sink that frames every cycle, no
     /// outstanding bus transaction, no wait state, no spill stall, no
     /// in-flight window motion, no deliverable vectored interrupt, and
-    /// only burst-safe instructions in the pipe. A counters-only sink
-    /// (`!wants_records`) does not pin bursts off: its
-    /// [`next_observe`](crate::TraceSink::next_observe) boundary bounds
-    /// the run instead — the same contract [`StepMode::EventSkip`] uses —
-    /// so the boundary cycle itself is always stepped (and observed) by
-    /// the slow loop. Under those conditions a cycle can only
-    /// change stream registers/flags/PCs, the pipe, the scoreboard and
-    /// counters. Each cycle retires, executes and then replays the
-    /// scheduler's pick; an instruction that could melt the freeze
-    /// (memory, window motion, stream control, `ir`/`mr` writes) is still
-    /// *fetched* exactly as `step` would — fetching is pure bookkeeping —
-    /// and ends the run before its execute stage can run, so the slow path
-    /// owns all its effects. The run length is bounded by
-    /// [`DataBus::next_event`], the same wake contract
-    /// [`StepMode::EventSkip`] relies on, so no peripheral tick,
-    /// fault-plan window edge or interrupt lands inside a run.
+    /// only burst-safe instructions in the pipe. Under those conditions a
+    /// cycle can only change stream registers/flags/PCs, the pipe, the
+    /// scoreboard and counters. Each cycle retires, executes and then
+    /// replays the scheduler's pick; an instruction that could melt the
+    /// freeze (memory, window motion, stream control, `ir`/`mr` writes) is
+    /// still *fetched* exactly as `step` would — fetching is pure
+    /// bookkeeping — and ends the run before its execute stage can run, so
+    /// the slow path owns all its effects. The run stops at the
+    /// [`horizon`](Self::horizon) that also bounds quiescence skips, so no
+    /// peripheral tick, fault-plan window edge, interrupt or sink
+    /// observation (a counters-only sink does not pin bursts off) lands
+    /// inside a run: the horizon cycle itself is stepped by the slow loop.
     ///
     /// # Errors
     ///
@@ -1117,94 +1114,19 @@ impl Machine {
     /// equivalent failing `step` would have (retire/execute happened, the
     /// cycle counter did not advance).
     fn superblock_burst(&mut self, budget: u64, resuming: bool) -> Result<u64, SimError> {
-        // -- entry eligibility --------------------------------------------
-        // A sink that frames every cycle pins bursts off entirely; a
-        // boundary-sampling sink merely bounds the run at its next
-        // observation cycle, which the slow loop then steps and observes.
-        let sink_limit = match &self.trace {
-            None => u64::MAX,
-            Some(sink) if sink.wants_records() => 0,
-            Some(sink) => match sink.next_observe(self.cycle) {
-                None => u64::MAX,
-                Some(t) => t.saturating_sub(self.cycle),
-            },
+        let Some((active_mask, limit)) = self.burst_entry(budget) else {
+            if !resuming {
+                self.sb_stats.entry_rejects += 1;
+            }
+            return Ok(0);
         };
-        if self.halted
-            || self.legacy_decode
-            || sink_limit == 0
-            || self.abi.busy()
-            || self.scheduler.sequence().is_none()
-        {
-            if !resuming {
-                self.sb_stats.entry_rejects += 1;
-            }
-            return Ok(0);
-        }
-        let mut active_mask: u32 = 0;
-        for (s, st) in self.streams.iter().enumerate() {
-            if st.wait != WaitState::None || st.spill_stall > 0 || st.window_moves > 0 {
-                if !resuming {
-                    self.sb_stats.entry_rejects += 1;
-                }
-                return Ok(0);
-            }
-            if st
-                .pending_interrupt()
-                .is_some_and(|bit| st.vectors[bit as usize].is_some())
-            {
-                if !resuming {
-                    self.sb_stats.entry_rejects += 1;
-                }
-                return Ok(0);
-            }
-            if st.active() {
-                active_mask |= 1 << s;
-            }
-        }
-        // The slow loop owns the AllIdle exit: a run entered here would
-        // cover cycles `run` must never execute.
-        if active_mask == 0 && self.idle_exit {
-            if !resuming {
-                self.sb_stats.entry_rejects += 1;
-            }
-            return Ok(0);
-        }
-        if self
-            .pipe
-            .iter()
-            .flatten()
-            .any(|slot| !burst_safe(&slot.instr))
-        {
-            if !resuming {
-                self.sb_stats.entry_rejects += 1;
-            }
-            return Ok(0);
-        }
-        let mut limit = budget.min(sink_limit);
-        if let Some(t) = self.bus.next_event(self.cycle) {
-            limit = limit.min(t.saturating_sub(self.cycle));
-        }
-        if limit == 0 {
-            if !resuming {
-                self.sb_stats.entry_rejects += 1;
-            }
-            return Ok(0);
-        }
 
         let nstreams = self.streams.len();
         // All streams parked awaiting a future bus event with nothing in
         // flight: the whole bounded stretch is bubbles, accounted in bulk.
         // (Reachable only with idle-exit disabled.)
         if active_mask == 0 && self.live_slots == 0 {
-            for s in 0..nstreams {
-                self.stats.attribution.idle[s] += limit;
-            }
-            self.stats.bubbles += limit;
-            self.stats.cycles += limit;
-            self.cycle += limit;
-            self.scheduler.advance_idle(limit);
-            self.abi.advance(limit);
-            self.bus.advance(limit);
+            self.advance_quiescent(limit);
             if !resuming {
                 self.sb_stats.bursts += 1;
             }
@@ -2367,14 +2289,11 @@ impl Machine {
             streams,
             stats,
             ops,
-            program,
-            legacy_decode,
             fetch_probe,
             fetch_entry,
             attr_hazard,
             ..
         } = self;
-        let legacy = *legacy_decode;
         let picked = scheduler.pick_with(|s| match fetch_probe[s] {
             Probe::Ready => true,
             Probe::NotReady => false,
@@ -2383,14 +2302,8 @@ impl Machine {
                 let ready = if !st.active() || st.wait != WaitState::None || st.spill_stall > 0 {
                     false
                 } else {
-                    // Predecoded table on the hot path; live decode when
-                    // the legacy differential switch is on. Addresses past
-                    // the image are word 0 (`nop`), as predecoded.
-                    let entry = if legacy {
-                        predecode(program.word(st.pc))
-                    } else {
-                        ops.get(st.pc as usize).copied().unwrap_or(NOP_ENTRY)
-                    };
+                    // Addresses past the image are word 0 (`nop`).
+                    let entry = ops.get(st.pc as usize).copied().unwrap_or(NOP_ENTRY);
                     if entry.kind == K_FAULT {
                         // Report ready so the fetch below raises the fault
                         // on the cycle the stream is actually picked.
@@ -2452,7 +2365,7 @@ impl Machine {
 
     // ---- snapshot / restore ---------------------------------------------
 
-    /// Serializes the complete machine state as a `disc-snap/v1` blob:
+    /// Serializes the complete machine state as a `disc-snap/v2` blob:
     /// every stream context (registers, flags, service stack, vectors,
     /// in-flight writes, stack window + AWP), the pipeline, internal
     /// memory, scheduler and ABI state, all statistics, and the external
@@ -2479,7 +2392,6 @@ impl Machine {
         w.put_bool(self.halted);
         w.put_u64(self.next_seq);
         w.put_bool(self.idle_exit);
-        w.put_bool(self.legacy_decode);
         w.put_usize(self.globals.len());
         for &g in &self.globals {
             w.put_u16(g);
@@ -2583,7 +2495,6 @@ impl Machine {
         self.halted = r.get_bool()?;
         self.next_seq = r.get_u64()?;
         self.idle_exit = r.get_bool()?;
-        self.legacy_decode = r.get_bool()?;
         let nglobals = r.get_usize()?;
         if nglobals != self.globals.len() {
             return Err(SnapError::Corrupt(format!(
@@ -2629,11 +2540,7 @@ impl Machine {
             }
             let pc = r.get_u16()?;
             let seq = r.get_u64()?;
-            let entry = if self.legacy_decode {
-                predecode(self.program.word(pc))
-            } else {
-                self.ops.get(pc as usize).copied().unwrap_or(NOP_ENTRY)
-            };
+            let entry = self.ops.get(pc as usize).copied().unwrap_or(NOP_ENTRY);
             if entry.kind == K_FAULT {
                 // Undecodable words fault at fetch and never enter the
                 // pipe, so a snapshot can only claim one through
@@ -2769,4 +2676,74 @@ fn program_hash(program: &Program) -> u64 {
         }
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A workload touching every hot-path feature at once: same-stream RAW
+    /// hazards, taken/untaken jumps, stack-window calls, external bus
+    /// traffic, internal memory, and a vectored interrupt handler.
+    const MIXED_SRC: &str = r#"
+    .stream 0, alu
+    .stream 1, io
+    .stream 2, calls
+    .vector 3, 5, isr
+alu:
+    ldi r0, 25
+    ldi r1, 0
+aloop:
+    add r1, r1, r0      ; RAW on r1 every iteration
+    subi r0, r0, 1
+    jnz aloop
+    sta r1, 0x40
+    jmp alu
+io:
+    lui r0, 0x80        ; external address space
+ioloop:
+    ld r1, [r0]
+    addi r1, r1, 1      ; depends on the bus data
+    st r1, [r0]
+    jmp ioloop
+calls:
+    ldi r2, 6
+cloop:
+    call bump
+    subi r2, r2, 1
+    jnz cloop
+    jmp calls
+bump:
+    winc 1              ; r0 = scratch, r1 = ret, r2 = caller r2
+    addi r0, r0, 3
+    wdec 1
+    ret
+isr:
+    lda r0, 0x41
+    addi r0, r0, 1
+    sta r0, 0x41
+    reti
+"#;
+
+    /// The program image never changes after construction, so the
+    /// predecoded store must be exactly `predecode` of every program word
+    /// — addresses past the image included (word 0, `nop`) and
+    /// undecodable words included (fault entries, reported lazily).
+    #[test]
+    fn predecoded_store_covers_every_address() {
+        let mixed = Program::assemble(MIXED_SRC).expect("mixed program assembles");
+        let mut patched = mixed.clone();
+        patched.set_word(4, 63 << 18); // unassigned opcode
+        assert_eq!(predecode(patched.word(4)).kind, K_FAULT);
+        for program in [mixed, patched] {
+            let m = Machine::new(MachineConfig::disc1(), &program);
+            for a in 0..=u16::MAX {
+                assert_eq!(
+                    m.ops.get(a as usize).copied().unwrap_or(NOP_ENTRY),
+                    predecode(program.word(a)),
+                    "predecoded store diverges at {a:#06x}"
+                );
+            }
+        }
+    }
 }

@@ -221,7 +221,7 @@ impl StackWindow {
         self.underflows
     }
 
-    /// Serializes the window file (`disc-snap/v1` component). The logical
+    /// Serializes the window file (`disc-snap/v2` component). The logical
     /// stack can have grown past the physical `depth`, so the whole
     /// backing vector is written; `depth` and `policy` come from the
     /// configuration and are written only for validation.

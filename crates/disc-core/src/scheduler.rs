@@ -251,7 +251,7 @@ impl Scheduler {
         self.reallocated
     }
 
-    /// Serializes the scheduler's runtime state (`disc-snap/v1`
+    /// Serializes the scheduler's runtime state (`disc-snap/v2`
     /// component). The policy itself is construction state derived from
     /// the configuration and is not written.
     pub(crate) fn save_into(&self, w: &mut SnapWriter) {

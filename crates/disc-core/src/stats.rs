@@ -91,7 +91,7 @@ impl IrqLatencyStats {
     }
 
     /// Serializes the aggregate plus the reservoir contents
-    /// (`disc-snap/v1` component). The reservoir replacement index is a
+    /// (`disc-snap/v2` component). The reservoir replacement index is a
     /// pure function of `count`, so restoring these four fields resumes
     /// the deterministic sampling stream exactly.
     pub(crate) fn save_into(&self, w: &mut SnapWriter) {
@@ -236,7 +236,7 @@ impl CycleAttribution {
         }
     }
 
-    /// Serializes all seven buckets (`disc-snap/v1` component).
+    /// Serializes all seven buckets (`disc-snap/v2` component).
     pub(crate) fn save_into(&self, w: &mut SnapWriter) {
         for bucket in [
             &self.issue,
@@ -475,7 +475,7 @@ impl MachineStats {
     }
 
     /// Serializes every counter, the latency aggregate and the cycle
-    /// attribution (`disc-snap/v1` component).
+    /// attribution (`disc-snap/v2` component).
     pub(crate) fn save_into(&self, w: &mut SnapWriter) {
         w.put_u64(self.cycles);
         save_u64_vec(w, &self.retired);

@@ -260,7 +260,7 @@ impl Stream {
         self.irq_raised_at[bit as usize] = None;
     }
 
-    /// Serializes the full stream context (`disc-snap/v1` component).
+    /// Serializes the full stream context (`disc-snap/v2` component).
     ///
     /// Interrupt vectors are included even though they start out derived
     /// from the program image: [`Machine::set_vector`](crate::Machine)

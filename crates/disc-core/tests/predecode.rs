@@ -1,113 +1,13 @@
-//! Equivalence of the predecoded instruction store against legacy
-//! per-cycle decoding.
+//! Decode faults under the predecoded instruction store.
 //!
 //! The machine decodes the whole program once at load time and fetches
-//! from the predecoded store; `set_legacy_decode(true)` switches a
-//! machine back to decoding each word from program memory on every
-//! fetch, exactly as the seed implementation did. Both paths must be
-//! cycle-for-cycle identical: same trace records, same statistics, same
-//! decode-fault reporting.
+//! from the predecoded store. Predecoding must keep the lazy fault
+//! semantics of per-fetch decoding: an undecodable word faults only when
+//! a stream actually fetches it. (That the store holds exactly the decode
+//! of every program word is a unit test in `machine.rs`.)
 
 use disc_core::{Exit, Machine, MachineConfig, SimError};
 use disc_isa::Program;
-
-/// A workload touching every hot-path feature at once: same-stream RAW
-/// hazards, taken/untaken jumps, stack-window calls, external bus
-/// traffic, internal memory, and a vectored interrupt handler.
-const MIXED_SRC: &str = r#"
-    .stream 0, alu
-    .stream 1, io
-    .stream 2, calls
-    .vector 3, 5, isr
-alu:
-    ldi r0, 25
-    ldi r1, 0
-aloop:
-    add r1, r1, r0      ; RAW on r1 every iteration
-    subi r0, r0, 1
-    jnz aloop
-    sta r1, 0x40
-    jmp alu
-io:
-    lui r0, 0x80        ; external address space
-ioloop:
-    ld r1, [r0]
-    addi r1, r1, 1      ; depends on the bus data
-    st r1, [r0]
-    jmp ioloop
-calls:
-    ldi r2, 6
-cloop:
-    call bump
-    subi r2, r2, 1
-    jnz cloop
-    jmp calls
-bump:
-    winc 1              ; r0 = scratch, r1 = ret, r2 = caller r2
-    addi r0, r0, 3
-    wdec 1
-    ret
-isr:
-    lda r0, 0x41
-    addi r0, r0, 1
-    sta r0, 0x41
-    reti
-"#;
-
-fn mixed_pair() -> (Machine, Machine) {
-    let program = Program::assemble(MIXED_SRC).expect("mixed program assembles");
-    let fast = Machine::new(MachineConfig::disc1(), &program);
-    let mut legacy = Machine::new(MachineConfig::disc1(), &program);
-    legacy.set_legacy_decode(true);
-    (fast, legacy)
-}
-
-#[test]
-fn predecode_and_legacy_produce_identical_traces_and_stats() {
-    let (mut fast, mut legacy) = mixed_pair();
-    const CYCLES: u64 = 2_000;
-    for m in [&mut fast, &mut legacy] {
-        m.set_idle_exit(false);
-        m.trace_start(CYCLES as usize);
-    }
-    for c in 0..CYCLES {
-        // Periodic interrupts so vector entry, handler flushes and
-        // latency accounting are exercised on both machines.
-        if c % 97 == 0 {
-            fast.raise_interrupt(3, 5);
-            legacy.raise_interrupt(3, 5);
-        }
-        fast.step().expect("predecoded step");
-        legacy.step().expect("legacy step");
-    }
-    let t_fast = fast.trace_take().expect("fast trace");
-    let t_legacy = legacy.trace_take().expect("legacy trace");
-    assert_eq!(t_fast.records().len(), CYCLES as usize);
-    for (a, b) in t_fast.records().iter().zip(t_legacy.records()) {
-        assert_eq!(a, b, "trace diverged at cycle {}", a.cycle);
-    }
-    assert_eq!(fast.stats(), legacy.stats());
-    assert!(fast.stats().vectors_taken[3] > 0, "interrupts were taken");
-    assert!(fast.stats().external_accesses > 0, "bus was exercised");
-    assert_eq!(
-        fast.scheduler_reallocations(),
-        legacy.scheduler_reallocations()
-    );
-}
-
-#[test]
-fn predecode_and_legacy_agree_on_final_memory() {
-    let (mut fast, mut legacy) = mixed_pair();
-    assert_eq!(fast.run(50_000).expect("fast run"), Exit::CycleLimit);
-    assert_eq!(legacy.run(50_000).expect("legacy run"), Exit::CycleLimit);
-    for addr in [0x40u16, 0x41] {
-        assert_eq!(
-            fast.internal_memory().read(addr),
-            legacy.internal_memory().read(addr),
-            "memory diverged at {addr:#x}"
-        );
-    }
-}
 
 /// Predecoding must not make load-time errors out of decode faults: an
 /// undecodable word only faults when a stream actually fetches it, and
@@ -144,19 +44,4 @@ fn unreached_bad_word_never_faults() {
     let mut m = Machine::new(MachineConfig::disc1(), &program);
     assert_eq!(m.run(1_000).expect("no fault"), Exit::Halted);
     assert_eq!(m.internal_memory().read(0x40), 7);
-}
-
-/// Legacy decoding reports the identical fault.
-#[test]
-fn legacy_decode_fault_matches() {
-    let mut program = Program::assemble(".stream 0, m\nm: nop\n").unwrap();
-    program.set_word(1, 63 << 18);
-    let mut m = Machine::new(MachineConfig::disc1(), &program);
-    m.set_legacy_decode(true);
-    match m.run(100).unwrap_err() {
-        SimError::Decode { stream, pc, word } => {
-            assert_eq!((stream, pc, word), (0, 1, 63 << 18));
-        }
-        other => panic!("unexpected error {other}"),
-    }
 }

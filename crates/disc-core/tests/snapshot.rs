@@ -1,4 +1,4 @@
-//! Snapshot/restore/fork integration tests: the `disc-snap/v1` machine
+//! Snapshot/restore/fork integration tests: the `disc-snap/v2` machine
 //! blob must capture *everything* — a fork taken mid-run and the original
 //! must stay cycle-for-cycle identical to the end of the program — and
 //! restore must refuse blobs from an incompatible configuration or a
@@ -268,7 +268,7 @@ main:
 
 /// Format-stability guard: a fixed machine driven to a fixed point must
 /// snapshot to exactly the bytes committed in `tests/data/golden.snap`.
-/// A failure here means the `disc-snap/v1` byte format changed — decide
+/// A failure here means the snapshot byte format changed — decide
 /// whether that is intentional, bump [`disc_core::SNAP_FORMAT`] thinking
 /// about blobs in the wild, and regenerate the golden file with:
 ///

@@ -31,7 +31,7 @@ pub const RUN_REPORT_SCHEMA: &str = "disc-run-report/v3";
 
 /// Deterministic 64-bit fingerprint of a machine configuration, rendered
 /// as 16 hex digits. Delegates to [`MachineConfig::fingerprint`] — the
-/// same value that pins `disc-snap/v1` machine snapshots to a compatible
+/// same value that pins `disc-snap/v2` machine snapshots to a compatible
 /// configuration. Every field (including the full schedule contents)
 /// folds into the hash, so two configs fingerprint equal iff they
 /// simulate identically. [`MachineConfig::step_mode`] and

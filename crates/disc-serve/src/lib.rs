@@ -14,7 +14,7 @@
 //!
 //! Session lifecycle is explicit: `create` → `run` → (`pause` |
 //! `snapshot` | `evict` | `resume`)* → done, each a verb of the
-//! [`protocol`]. Eviction snapshots the machine (`disc-snap/v1`, via
+//! [`protocol`]. Eviction snapshots the machine (`disc-snap/v2`, via
 //! [`disc_core::Machine::snapshot`]) to disk and drops it; `resume`
 //! rebuilds the machine from the retained program + config and applies
 //! the snapshot. Because chunk boundaries are timing-transparent and

@@ -224,7 +224,11 @@ fn shutdown_with_chunks_in_flight_is_clean() {
                     match result {
                         Ok(()) => {}
                         Err(ServeError::Nack(_)) => {} // lifecycle race; fine
-                        Err(_) => return shutting_down,
+                        // Re-read: a request already in flight when the
+                        // shutdown began fails after `shutting_down` was
+                        // taken. `stop` is set before the shutdown is
+                        // sent, so an earlier error still reads `false`.
+                        Err(_) => return stop.load(Ordering::SeqCst),
                     }
                     if shutting_down {
                         return true;

@@ -1,7 +1,7 @@
 //! `disc-snap` — the versioned binary snapshot codec for DISC machine
 //! state.
 //!
-//! The format (`disc-snap/v1`) is hand-rolled like the JSON layer in
+//! The format (`disc-snap/v2`) is hand-rolled like the JSON layer in
 //! `disc-obs`: little-endian fixed-width integers, `u64` length-prefixed
 //! byte strings, and explicit one-byte `Option` tags. There is no derive
 //! machinery and no external dependency — every producer writes its fields
@@ -26,7 +26,7 @@ use std::fmt;
 /// Format identifier embedded in every snapshot. Bump this whenever the
 /// byte layout of any serialized component changes — the golden-blob
 /// format-stability test enforces it.
-pub const FORMAT: &str = "disc-snap/v1";
+pub const FORMAT: &str = "disc-snap/v2";
 
 /// Eight-byte magic prefix of every snapshot blob.
 pub const MAGIC: [u8; 8] = *b"DISCSNAP";
@@ -321,7 +321,7 @@ pub struct SnapHeader {
     pub program_hash: u64,
 }
 
-/// Writes the `disc-snap/v1` header: magic, format string, config
+/// Writes the `disc-snap/v2` header: magic, format string, config
 /// fingerprint, program hash.
 pub fn write_header(w: &mut SnapWriter, config_fingerprint: u64, program_hash: u64) {
     w.buf.extend_from_slice(&MAGIC);
@@ -332,7 +332,7 @@ pub fn write_header(w: &mut SnapWriter, config_fingerprint: u64, program_hash: u
 
 /// Reads and validates the header, returning the recorded fingerprints.
 /// Compatibility with the restoring machine is the caller's check — the
-/// header only proves the blob is a well-formed `disc-snap/v1` snapshot.
+/// header only proves the blob is a well-formed `disc-snap/v2` snapshot.
 pub fn read_header(r: &mut SnapReader<'_>) -> Result<SnapHeader, SnapError> {
     let magic = r.take(MAGIC.len())?;
     if magic != MAGIC {
@@ -490,17 +490,17 @@ mod tests {
         let bytes = w.into_bytes();
         assert!(read_header(&mut SnapReader::new(&bytes)).is_err());
 
-        let mut w = SnapWriter::new();
-        w.put_u8(0); // pad so we can splice magic + bad version
-        let mut bytes = MAGIC.to_vec();
-        let mut body = SnapWriter::new();
-        body.put_str("disc-snap/v0");
-        bytes.extend_from_slice(&body.into_bytes());
-        let _ = w;
-        assert_eq!(
-            read_header(&mut SnapReader::new(&bytes)),
-            Err(SnapError::BadVersion("disc-snap/v0".into()))
-        );
+        // Blobs of every earlier format are refused, not misread.
+        for old in ["disc-snap/v0", "disc-snap/v1"] {
+            let mut body = SnapWriter::new();
+            body.put_str(old);
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&body.into_bytes());
+            assert_eq!(
+                read_header(&mut SnapReader::new(&bytes)),
+                Err(SnapError::BadVersion(old.into()))
+            );
+        }
     }
 
     #[test]
