@@ -8,52 +8,8 @@
 //! total simulated cycle count (default 50 million). Built and driven by
 //! `make profile`.
 
+use disc_bench::workloads::{branch_program, compute_program, io_program, irq_program};
 use disc_core::{DispatchMode, Machine, MachineConfig};
-use disc_isa::Program;
-
-fn compute_program(streams: usize) -> Program {
-    let mut src = String::new();
-    for s in 0..streams {
-        src.push_str(&format!(".stream {s}, l{s}\n"));
-        src.push_str(&format!(
-            "l{s}:\n    addi r0, r0, 1\n    addi r1, r1, 1\n    addi r2, r2, 1\n    jmp l{s}\n"
-        ));
-    }
-    Program::assemble(&src).expect("compute program assembles")
-}
-
-fn branch_program(streams: usize) -> Program {
-    let mut src = String::new();
-    for s in 0..streams {
-        src.push_str(&format!(".stream {s}, l{s}\n"));
-        src.push_str(&format!(
-            "l{s}:\n    addi r0, r0, 1\n    cmpi r0, 4\n    jnz l{s}\n    ldi r0, 0\n    jmp l{s}\n"
-        ));
-    }
-    Program::assemble(&src).expect("branch program assembles")
-}
-
-fn io_program() -> Program {
-    Program::assemble(
-        ".stream 0, a\n.stream 1, b\n\
-         a: lui r0, 0x80\nla: ld r1, [r0]\n    st r1, [r0]\n    jmp la\n\
-         b: ldi r0, 0\nlb: addi r0, r0, 1\n    jmp lb\n",
-    )
-    .expect("io program assembles")
-}
-
-fn irq_program(busy_streams: usize) -> Program {
-    let mut src = String::new();
-    for s in 0..busy_streams {
-        src.push_str(&format!(".stream {s}, work{s}\n"));
-        src.push_str(&format!(
-            "work{s}:\n    addi r0, r0, 1\n    addi r1, r1, 1\n    jmp work{s}\n"
-        ));
-    }
-    src.push_str(".vector 3, 5, isr\n");
-    src.push_str("isr:\n    lda r0, 0x40\n    addi r0, r0, 1\n    sta r0, 0x40\n    reti\n");
-    Program::assemble(&src).expect("irq program assembles")
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);

@@ -1128,7 +1128,7 @@ fn diff_against_reference(
 /// globals, internal and touched external memory. Mismatches append to
 /// `details`, prefixed with `label`; the second machine of each reported
 /// pair is `expected`.
-fn diff_machines(
+pub fn diff_machines(
     label: &str,
     expected: &mut Machine,
     candidate: &mut Machine,

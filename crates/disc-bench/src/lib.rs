@@ -1,8 +1,8 @@
 //! Benchmark and reproduction harness.
 //!
-//! Every table and figure of the paper has a generator here (exercised by
-//! the `src/bin` targets and unit tests). Table generators live in
-//! `disc-stoch`; this crate
+//! Every table and figure of the paper has a generator here (run by the
+//! `repro_all` binary, one at a time with `--only NAME`, and by unit
+//! tests). Table generators live in `disc-stoch`; this crate
 //! adds the figure reproductions, which run on the *cycle-accurate*
 //! machine, plus the latency and synchronization experiments.
 

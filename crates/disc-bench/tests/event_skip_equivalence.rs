@@ -12,14 +12,17 @@
 //! soak campaign, and byte-identical JSONL traces (a per-cycle sink pins
 //! skipping off).
 
+use std::collections::BTreeSet;
+
 use disc_bench::figures;
-use disc_bench::fuzz::{compare, generate};
+use disc_bench::fuzz::{compare, diff_machines, generate};
+use disc_bench::workloads::{io_program, irq_program, timer_program};
 use disc_bus::{
     BlockStorage, DmaEngine, ExtRam, PacketPort, PeripheralBus, Shared, Timer, Uart, Watchdog,
 };
 use disc_core::{BusFaultPolicy, DispatchMode, Exit, Machine, MachineConfig, StepMode};
 use disc_faults::{AddrRange, FaultInjector, FaultPlan, FaultWindow};
-use disc_isa::{Program, Reg};
+use disc_isa::Program;
 use disc_obs::{config_fingerprint, config_json, stats_json, JsonlSink};
 use disc_rts::soak;
 
@@ -38,67 +41,30 @@ fn assert_modes_equivalent(
     let mut skip = build(StepMode::EventSkip);
     drive(&mut skip);
 
-    // Stats — covers cycles, retired counts, vectors, bus counters and
-    // the per-stream attribution in one structural comparison…
-    assert_eq!(cbc.stats(), skip.stats(), "{label}: stats diverge");
-    // …but attribution exactness is the property under test, so check it
-    // bucket for bucket with its own message, and require the skip run's
-    // buckets to still sum to its cycle count.
-    assert_eq!(
-        cbc.stats().attribution,
-        skip.stats().attribution,
-        "{label}: cycle attribution diverges"
+    // Final state — stats (per-stream attribution included, bucket for
+    // bucket), stream control state, window slots, `sp`, globals and
+    // internal memory — through the fuzzer's machine differ.
+    let mut details = Vec::new();
+    let (streams, internal) = (cbc.stream_count(), cbc.config().internal_words as u16);
+    diff_machines(
+        label,
+        &mut cbc,
+        &mut skip,
+        streams,
+        internal,
+        &BTreeSet::new(),
+        &mut details,
     );
+    assert!(
+        details.is_empty(),
+        "{label}: step modes diverge:\n{}",
+        details.join("\n")
+    );
+    // The skip run's attribution buckets must still sum to its cycle count.
     skip.stats()
         .attribution
         .check(skip.stats().cycles)
         .unwrap_or_else(|e| panic!("{label}: skip-run attribution unbalanced: {e:?}"));
-
-    // Final architectural state, stream by stream.
-    for s in 0..cbc.stream_count() {
-        let a = cbc.stream(s);
-        let b = skip.stream(s);
-        assert_eq!(a.pc(), b.pc(), "{label}: stream {s} pc");
-        assert_eq!(a.ir(), b.ir(), "{label}: stream {s} ir");
-        assert_eq!(a.mr(), b.mr(), "{label}: stream {s} mr");
-        assert_eq!(
-            a.flags().to_word(),
-            b.flags().to_word(),
-            "{label}: stream {s} flags"
-        );
-        assert_eq!(
-            (a.service_depth(), a.service_level()),
-            (b.service_depth(), b.service_level()),
-            "{label}: stream {s} service state"
-        );
-        assert_eq!(
-            a.window().awp(),
-            b.window().awp(),
-            "{label}: stream {s} awp"
-        );
-        for slot in 0..a.window().max_depth() {
-            assert_eq!(
-                a.window().read_slot(slot),
-                b.window().read_slot(slot),
-                "{label}: stream {s} window slot {slot}"
-            );
-        }
-        assert_eq!(
-            cbc.reg(s, Reg::Sp),
-            skip.reg(s, Reg::Sp),
-            "{label}: stream {s} sp"
-        );
-    }
-    for g in 0..disc_isa::GLOBAL_REGS {
-        assert_eq!(cbc.global(g), skip.global(g), "{label}: global g{g}");
-    }
-    for addr in 0..cbc.config().internal_words as u16 {
-        assert_eq!(
-            cbc.internal_memory().read(addr),
-            skip.internal_memory().read(addr),
-            "{label}: internal[{addr:#x}]"
-        );
-    }
 
     // Skip accounting: the default mode never skips; the scenario's
     // quiescence expectation must hold in event-skip mode.
@@ -129,15 +95,6 @@ fn assert_modes_equivalent(
     );
 }
 
-fn io_program() -> Program {
-    Program::assemble(
-        ".stream 0, a\n.stream 1, b\n\
-         a: lui r0, 0x80\nla: ld r1, [r0]\n    st r1, [r0]\n    jmp la\n\
-         b: ldi r0, 0\nlb: addi r0, r0, 1\n    jmp lb\n",
-    )
-    .expect("io program assembles")
-}
-
 #[test]
 fn io_bound_2s_attribution_matches() {
     let program = io_program();
@@ -156,16 +113,7 @@ fn io_bound_2s_attribution_matches() {
 
 #[test]
 fn interrupt_heavy_3s_attribution_matches() {
-    let mut src = String::new();
-    for s in 0..3 {
-        src.push_str(&format!(".stream {s}, work{s}\n"));
-        src.push_str(&format!(
-            "work{s}:\n    addi r0, r0, 1\n    addi r1, r1, 1\n    jmp work{s}\n"
-        ));
-    }
-    src.push_str(".vector 3, 5, isr\n");
-    src.push_str("isr:\n    lda r0, 0x40\n    addi r0, r0, 1\n    sta r0, 0x40\n    reti\n");
-    let program = Program::assemble(&src).expect("irq program assembles");
+    let program = irq_program(3);
     assert_modes_equivalent(
         "interrupt_heavy_3s",
         false, // three busy streams: never quiescent
@@ -187,12 +135,7 @@ fn interrupt_heavy_3s_attribution_matches() {
 
 #[test]
 fn timer_idle_quiescence_matches_and_skips() {
-    let program = Program::assemble(
-        ".stream 0, idle\n.vector 0, 5, isr\n\
-         idle:\n    stop\n\
-         isr:\n    lda r0, 0x40\n    addi r0, r0, 1\n    sta r0, 0x40\n    reti\n",
-    )
-    .expect("timer program assembles");
+    let program = timer_program();
     assert_modes_equivalent(
         "timer_idle",
         true, // parked between timer fires: quiescence-dominated

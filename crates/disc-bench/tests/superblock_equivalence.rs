@@ -14,11 +14,14 @@
 //! decode faults surfacing from inside a burst, and a per-cycle trace
 //! sink pinning bursts off with byte-identical output.
 
-use disc_bench::fuzz::{compare, generate};
+use std::collections::BTreeSet;
+
+use disc_bench::fuzz::{compare, diff_machines, generate};
+use disc_bench::workloads::{branch_program, compute_program, irq_program};
 use disc_bus::{BlockStorage, DmaEngine, ExtRam, PacketPort, PeripheralBus, Shared, Timer};
 use disc_core::{BusFaultPolicy, DispatchMode, Machine, MachineConfig, SimError, StepMode};
 use disc_faults::{AddrRange, FaultInjector, FaultPlan, FaultWindow};
-use disc_isa::{Program, Reg};
+use disc_isa::Program;
 use disc_obs::{config_fingerprint, config_json, stats_json, JsonlSink};
 
 /// Runs `build`+`drive` under both dispatchers and asserts the results
@@ -36,68 +39,31 @@ fn assert_dispatch_equivalent(
     let mut burst = build(DispatchMode::Superblock);
     drive(&mut burst);
 
-    // Stats — covers cycles, retired counts, vectors, bus counters and
-    // the per-stream attribution in one structural comparison…
-    assert_eq!(legacy.stats(), burst.stats(), "{label}: stats diverge");
-    // …but attribution exactness is the property under test, so check it
-    // bucket for bucket with its own message, and require the burst
-    // run's buckets to still sum to its cycle count.
-    assert_eq!(
-        legacy.stats().attribution,
-        burst.stats().attribution,
-        "{label}: cycle attribution diverges"
+    // Final state — stats (per-stream attribution included, bucket for
+    // bucket), stream control state, window slots, `sp`, globals and
+    // internal memory — through the fuzzer's machine differ.
+    let mut details = Vec::new();
+    let (streams, internal) = (legacy.stream_count(), legacy.config().internal_words as u16);
+    diff_machines(
+        label,
+        &mut legacy,
+        &mut burst,
+        streams,
+        internal,
+        &BTreeSet::new(),
+        &mut details,
     );
+    assert!(
+        details.is_empty(),
+        "{label}: dispatchers diverge:\n{}",
+        details.join("\n")
+    );
+    // The burst run's attribution buckets must still sum to its cycle count.
     burst
         .stats()
         .attribution
         .check(burst.stats().cycles)
         .unwrap_or_else(|e| panic!("{label}: burst-run attribution unbalanced: {e:?}"));
-
-    // Final architectural state, stream by stream.
-    for s in 0..legacy.stream_count() {
-        let a = legacy.stream(s);
-        let b = burst.stream(s);
-        assert_eq!(a.pc(), b.pc(), "{label}: stream {s} pc");
-        assert_eq!(a.ir(), b.ir(), "{label}: stream {s} ir");
-        assert_eq!(a.mr(), b.mr(), "{label}: stream {s} mr");
-        assert_eq!(
-            a.flags().to_word(),
-            b.flags().to_word(),
-            "{label}: stream {s} flags"
-        );
-        assert_eq!(
-            (a.service_depth(), a.service_level()),
-            (b.service_depth(), b.service_level()),
-            "{label}: stream {s} service state"
-        );
-        assert_eq!(
-            a.window().awp(),
-            b.window().awp(),
-            "{label}: stream {s} awp"
-        );
-        for slot in 0..a.window().max_depth() {
-            assert_eq!(
-                a.window().read_slot(slot),
-                b.window().read_slot(slot),
-                "{label}: stream {s} window slot {slot}"
-            );
-        }
-        assert_eq!(
-            legacy.reg(s, Reg::Sp),
-            burst.reg(s, Reg::Sp),
-            "{label}: stream {s} sp"
-        );
-    }
-    for g in 0..disc_isa::GLOBAL_REGS {
-        assert_eq!(legacy.global(g), burst.global(g), "{label}: global g{g}");
-    }
-    for addr in 0..legacy.config().internal_words as u16 {
-        assert_eq!(
-            legacy.internal_memory().read(addr),
-            burst.internal_memory().read(addr),
-            "{label}: internal[{addr:#x}]"
-        );
-    }
 
     // Burst accounting: legacy dispatch never bursts; the scenario's
     // expectation must hold under superblock dispatch.
@@ -141,17 +107,6 @@ fn assert_dispatch_equivalent(
     );
 }
 
-fn compute_program(streams: usize) -> Program {
-    let mut src = String::new();
-    for s in 0..streams {
-        src.push_str(&format!(".stream {s}, l{s}\n"));
-        src.push_str(&format!(
-            "l{s}:\n    addi r0, r0, 1\n    addi r1, r1, 1\n    addi r2, r2, 1\n    jmp l{s}\n"
-        ));
-    }
-    Program::assemble(&src).expect("compute program assembles")
-}
-
 /// Pure compute: one long burst should cover nearly the whole run.
 #[test]
 fn compute_bound_bursts_and_matches() {
@@ -174,14 +129,7 @@ fn compute_bound_bursts_and_matches() {
 /// Branch-heavy loops: taken jumps flush in-burst and must not end it.
 #[test]
 fn branch_heavy_bursts_and_matches() {
-    let mut src = String::new();
-    for s in 0..4 {
-        src.push_str(&format!(".stream {s}, l{s}\n"));
-        src.push_str(&format!(
-            "l{s}:\n    addi r0, r0, 1\n    cmpi r0, 4\n    jnz l{s}\n    ldi r0, 0\n    jmp l{s}\n"
-        ));
-    }
-    let program = Program::assemble(&src).expect("branch program assembles");
+    let program = branch_program(4);
     assert_dispatch_equivalent(
         "branch_heavy_4s",
         true,
@@ -201,16 +149,7 @@ fn branch_heavy_bursts_and_matches() {
 /// the wake source and deliver with legacy-identical latency accounting.
 #[test]
 fn interrupt_mid_run_matches() {
-    let mut src = String::new();
-    for s in 0..3 {
-        src.push_str(&format!(".stream {s}, work{s}\n"));
-        src.push_str(&format!(
-            "work{s}:\n    addi r0, r0, 1\n    addi r1, r1, 1\n    jmp work{s}\n"
-        ));
-    }
-    src.push_str(".vector 3, 5, isr\n");
-    src.push_str("isr:\n    lda r0, 0x40\n    addi r0, r0, 1\n    sta r0, 0x40\n    reti\n");
-    let program = Program::assemble(&src).expect("irq program assembles");
+    let program = irq_program(3);
     assert_dispatch_equivalent(
         "interrupt_mid_run",
         true,

@@ -239,6 +239,31 @@ impl SamplingSink {
     pub fn to_json(&self) -> Json {
         Json::Arr(self.samples.iter().map(sample_json).collect())
     }
+
+    /// Closes the window ending at cycle `end` (exclusive): pushes the
+    /// counter deltas since the previous window and moves the baseline
+    /// up. The window's own length is the utilization denominator, so a
+    /// short tail window is not diluted.
+    fn push_window(&mut self, end: u64, stats: &MachineStats) {
+        let window = end - self.last_cycle;
+        let retired = stats.retired_total();
+        let flushed = stats.flushed_total();
+        self.samples.push(StatsSample {
+            cycle: end - 1,
+            retired: retired - self.last_retired,
+            bubbles: stats.bubbles - self.last_bubbles,
+            flushed: flushed - self.last_flushed,
+            external_accesses: stats.external_accesses - self.last_external,
+            reallocations: stats.reallocations - self.last_realloc,
+            utilization: (retired - self.last_retired) as f64 / window.max(1) as f64,
+        });
+        self.last_cycle = end;
+        self.last_retired = retired;
+        self.last_bubbles = stats.bubbles;
+        self.last_flushed = flushed;
+        self.last_external = stats.external_accesses;
+        self.last_realloc = stats.reallocations;
+    }
 }
 
 /// Renders one [`StatsSample`] as a JSON object (the wire/report format).
@@ -273,24 +298,7 @@ impl TraceSink for SamplingSink {
         if !(cycle + 1).is_multiple_of(self.every) {
             return;
         }
-        let window = (cycle + 1) - self.last_cycle;
-        let retired = stats.retired_total();
-        let flushed = stats.flushed_total();
-        self.samples.push(StatsSample {
-            cycle,
-            retired: retired - self.last_retired,
-            bubbles: stats.bubbles - self.last_bubbles,
-            flushed: flushed - self.last_flushed,
-            external_accesses: stats.external_accesses - self.last_external,
-            reallocations: stats.reallocations - self.last_realloc,
-            utilization: (retired - self.last_retired) as f64 / window.max(1) as f64,
-        });
-        self.last_cycle = cycle + 1;
-        self.last_retired = retired;
-        self.last_bubbles = stats.bubbles;
-        self.last_flushed = flushed;
-        self.last_external = stats.external_accesses;
-        self.last_realloc = stats.reallocations;
+        self.push_window(cycle + 1, stats);
     }
 
     // Flush the final partial window: a run that halts mid-window used to
@@ -298,27 +306,10 @@ impl TraceSink for SamplingSink {
     // to the full-run `MachineStats`. The short window keeps its *own*
     // length as the utilization denominator.
     fn observe_run_end(&mut self, cycles: u64, stats: &MachineStats) {
-        let window = cycles.saturating_sub(self.last_cycle);
-        if window == 0 {
+        if cycles <= self.last_cycle {
             return; // halted exactly on a window boundary — already sampled
         }
-        let retired = stats.retired_total();
-        let flushed = stats.flushed_total();
-        self.samples.push(StatsSample {
-            cycle: cycles - 1,
-            retired: retired - self.last_retired,
-            bubbles: stats.bubbles - self.last_bubbles,
-            flushed: flushed - self.last_flushed,
-            external_accesses: stats.external_accesses - self.last_external,
-            reallocations: stats.reallocations - self.last_realloc,
-            utilization: (retired - self.last_retired) as f64 / window as f64,
-        });
-        self.last_cycle = cycles;
-        self.last_retired = retired;
-        self.last_bubbles = stats.bubbles;
-        self.last_flushed = flushed;
-        self.last_external = stats.external_accesses;
-        self.last_realloc = stats.reallocations;
+        self.push_window(cycles, stats);
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
@@ -449,11 +440,6 @@ impl<W: Write + Send + 'static> WireSink<W> {
     /// All samples observed so far (retained for the final report).
     pub fn samples(&self) -> &[StatsSample] {
         self.sampler.samples()
-    }
-
-    /// The samples as a JSON array (for embedding in a [`RunReport`]).
-    pub fn samples_json(&self) -> Json {
-        self.sampler.to_json()
     }
 
     /// Any latched I/O error (a dead connection stops the stream but must
