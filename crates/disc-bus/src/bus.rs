@@ -10,6 +10,16 @@ use crate::shared::Shared;
 /// A device attachable to the asynchronous data bus.
 ///
 /// Addresses handed to a peripheral are *offsets* into its mapped window.
+///
+/// Device time follows the machine's lazy rule (see
+/// [`DataBus`](disc_core::DataBus)): the bus is ticked only from its
+/// earliest [`next_event`](Peripheral::next_event) on, and the quiet
+/// cycles before that reach every device as one
+/// [`advance`](Peripheral::advance), settled before the machine next
+/// calls `latency`, `read`, `write` or `next_event` and before a public
+/// `step`/`run` returns. A device therefore always sees its own clock
+/// current when it is accessed, but may not count on one `tick` per
+/// cycle.
 pub trait Peripheral: Send {
     /// Access latency in cycles for `offset`; devices model their
     /// conversion/transfer times here (the whole point of the asynchronous
@@ -24,7 +34,9 @@ pub trait Peripheral: Send {
     /// completion).
     fn write(&mut self, offset: u16, value: u16);
 
-    /// Advances one machine cycle; devices push interrupt requests.
+    /// Advances one machine cycle; devices push interrupt requests. Called
+    /// only on cycles at or after the bus's next event; quiet cycles come
+    /// through [`advance`](Peripheral::advance) instead.
     fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
         let _ = irqs;
     }
@@ -34,8 +46,11 @@ pub trait Peripheral: Send {
     /// when no future tick can. Mirrors
     /// [`DataBus::next_event`](disc_core::DataBus::next_event): the tick
     /// during the machine step starting at cycle `now` counts as
-    /// happening *at* `now`, and the caller never skips past the returned
-    /// cycle.
+    /// happening *at* `now`, `now` is always the device's own current
+    /// cycle, and the caller never advances past the returned cycle. The
+    /// machine asks again after every bus tick, read or write and whenever
+    /// the host may have touched the device, so the answer only has to
+    /// hold until then.
     ///
     /// The default (`None`) is only sound for devices whose `tick` is a
     /// no-op; any device overriding `tick` must override `next_event` and
@@ -48,7 +63,8 @@ pub trait Peripheral: Send {
     /// Advances device-internal time by `cycles` machine cycles in one
     /// step, exactly equivalent to that many [`tick`](Peripheral::tick)
     /// calls *given* the caller's guarantee that the skipped stretch ends
-    /// strictly before [`next_event`](Peripheral::next_event).
+    /// strictly before [`next_event`](Peripheral::next_event). This is how
+    /// the owed quiet cycles are paid before the device is next accessed.
     fn advance(&mut self, cycles: u64) {
         let _ = cycles;
     }

@@ -2,8 +2,8 @@
 //! asynchronous bus — timers raising stream interrupts, sensor polling,
 //! actuator output, UART traffic.
 
-use disc_bus::{Actuator, ExtRam, PeripheralBus, SensorPort, Shared, Timer, Uart};
-use disc_core::{Exit, Machine, MachineConfig};
+use disc_bus::{Actuator, DmaEngine, ExtRam, PeripheralBus, SensorPort, Shared, Timer, Uart};
+use disc_core::{DispatchMode, Exit, Machine, MachineConfig, StepMode};
 use disc_isa::Program;
 
 #[test]
@@ -303,4 +303,82 @@ fn watchdog_recovery_runs_on_dedicated_stream() {
         dog.borrow().bites() as u16,
         "one recovery per bite"
     );
+}
+
+#[test]
+fn host_edits_between_runs_land_on_schedule() {
+    // The host starts a DMA copy, then an RX feed, through its shared
+    // handles between `run` calls. Each completion interrupt vectors the
+    // dormant stream 1 into an ISR that writes the actuator, which stamps
+    // every command with its bus cycle. The stamps are pinned: the
+    // machine must notice a device reprogrammed between calls at once,
+    // whatever it had learned about the bus's next event before.
+    let program = Program::assemble(
+        r#"
+        .stream 0, main
+        .stream 1, idle
+        .vector 1, 6, dma_done
+        .vector 1, 5, rx
+    main:
+        jmp main
+    idle:
+        stop
+    dma_done:
+        lui r1, 0xa0        ; actuator at 0xa000
+        ldi r0, 0x0d
+        st  r0, [r1]
+        reti
+    rx:
+        lui r1, 0xb0        ; uart at 0xb000
+        ld  r0, [r1]        ; pop RX
+        lui r2, 0xa0
+        st  r0, [r2]        ; forward the word to the actuator
+        reti
+    "#,
+    )
+    .unwrap();
+    for step_mode in [StepMode::CycleByCycle, StepMode::EventSkip] {
+        for dispatch_mode in [DispatchMode::Legacy, DispatchMode::Superblock] {
+            let ram = Shared::new(ExtRam::new(0x100, 2));
+            let dma = Shared::new(DmaEngine::new(5).with_irq(1, 6));
+            let uart = Shared::new(Uart::new(6).with_irq(1, 5));
+            let act = Shared::new(Actuator::new(3));
+            let mut bus = PeripheralBus::new();
+            bus.map(0x8000, 0x100, Box::new(ram.handle())).unwrap();
+            bus.map_dma(0x9300, &dma).unwrap();
+            bus.map(0xa000, 1, Box::new(act.handle())).unwrap();
+            bus.map(0xb000, Uart::REGS, Box::new(uart.handle()))
+                .unwrap();
+            let config = MachineConfig::disc1()
+                .with_streams(2)
+                .with_step_mode(step_mode)
+                .with_dispatch_mode(dispatch_mode);
+            let mut m = Machine::with_bus(config, &program, Box::new(bus));
+            for i in 0..4 {
+                ram.borrow_mut().poke(i, 0x40 + i);
+            }
+            assert_eq!(m.run(500).unwrap(), Exit::CycleLimit);
+            dma.borrow_mut().start(0x8000, 0x8010, 4);
+            assert_eq!(m.run(500).unwrap(), Exit::CycleLimit);
+            uart.borrow_mut().feed(40, vec![0x11, 0x22]);
+            assert_eq!(m.run(500).unwrap(), Exit::CycleLimit);
+
+            let what = format!("{step_mode:?}/{dispatch_mode:?}");
+            assert_eq!(dma.borrow().done(), 1, "{what}");
+            for i in 0..4 {
+                assert_eq!(ram.borrow().peek(0x10 + i), 0x40 + i, "{what}: word {i}");
+            }
+            let commands: Vec<(u64, u16)> = act
+                .borrow()
+                .history()
+                .iter()
+                .map(|c| (c.cycle, c.value))
+                .collect();
+            assert_eq!(
+                commands,
+                vec![(531, 0x0d), (1061, 0x11), (1101, 0x22)],
+                "{what}: command cycles"
+            );
+        }
+    }
 }

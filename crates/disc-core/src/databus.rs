@@ -7,6 +7,14 @@
 //! [`DataBus`]. The `disc-bus` crate provides a composable peripheral bus;
 //! this module only defines the trait and a flat-memory implementation used
 //! as the default backing store and in tests.
+//!
+//! Peripheral time is lazy. The machine calls [`DataBus::tick`] only on
+//! cycles at or after the bus's [`next_event`](DataBus::next_event); the
+//! quiet cycles before it are owed and paid with one
+//! [`advance`](DataBus::advance) before the next call of any other bus
+//! method and before every public `step`/`run` returns. So every
+//! `latency`, `read`, `write` and `next_event` sees the bus exactly as a
+//! tick on every cycle would have left it.
 
 /// An interrupt request raised by a peripheral: set `bit` in the IR of
 /// `stream`.
@@ -23,8 +31,12 @@ pub struct IrqRequest {
 ///
 /// Implementations report a per-address access latency; the machine's
 /// asynchronous bus interface holds the bus busy for that many cycles and
-/// then performs the transfer. `tick` advances peripheral-internal time
-/// once per machine cycle and may raise interrupts.
+/// then performs the transfer. Peripheral-internal time moves one machine
+/// cycle per cycle, through `tick` on the cycles where
+/// [`next_event`](DataBus::next_event) says something may happen (which
+/// may raise interrupts) and through [`advance`](DataBus::advance) in bulk
+/// for the quiet cycles in between. The machine settles the owed cycles
+/// before every other call, so a bus never observes the difference.
 pub trait DataBus: Send {
     /// Access latency in cycles for a read/write of `addr`, or `None` when
     /// the address is unmapped. A latency of 0 completes synchronously
@@ -40,7 +52,9 @@ pub trait DataBus: Send {
     fn write(&mut self, addr: u16, value: u16);
 
     /// Advances one machine cycle; peripherals push interrupt requests into
-    /// `irqs`.
+    /// `irqs`. The machine calls it only for a cycle at or after the
+    /// bus's latest [`next_event`](DataBus::next_event) answer; every
+    /// other cycle is covered by [`advance`](DataBus::advance).
     fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
         let _ = irqs;
     }
@@ -50,12 +64,18 @@ pub trait DataBus: Send {
     /// request, a state change visible through [`read`](DataBus::read), or
     /// a latency change), or `None` when no future tick can.
     ///
-    /// The machine ticks the bus exactly once per cycle; the tick that
-    /// happens during the machine step starting at cycle `now` counts as
-    /// occurring *at* `now`. [`StepMode::EventSkip`](crate::StepMode) uses
-    /// this hook to fast-forward quiescent stretches: the machine
-    /// guarantees it never skips past the returned cycle, and compensates
-    /// the omitted ticks with one [`advance`](DataBus::advance) call.
+    /// Peripheral time moves one step per machine cycle; the step during
+    /// the machine cycle starting at `now` counts as occurring *at* `now`,
+    /// and the machine always asks with `now` equal to the bus's own
+    /// current cycle (owed cycles are settled first). The answer drives
+    /// every lazy path: the slow step ticks the bus only from the
+    /// returned cycle on, and [`StepMode::EventSkip`](crate::StepMode)
+    /// skips and superblock bursts stop there. The machine never lets an
+    /// [`advance`](DataBus::advance) cross the returned cycle, and it asks
+    /// again after every real tick, read or write and at the start of
+    /// every public `step`/`run` (a host may have reprogrammed a device
+    /// through a shared handle in between). An early answer is always
+    /// safe: it only costs a tick that turns out to do nothing.
     ///
     /// The default (`None`) is only sound for buses whose `tick` is a
     /// no-op (such as [`FlatBus`]); any implementation overriding `tick`
@@ -71,6 +91,11 @@ pub trait DataBus: Send {
     /// stretch ends strictly before [`next_event`](DataBus::next_event) —
     /// i.e. no tick in the stretch would have raised an interrupt or
     /// otherwise changed observable state.
+    ///
+    /// This is how the machine pays the cycles it did not tick: before any
+    /// `latency`, `read`, `write`, `next_event` or host access, and at the
+    /// end of every public `step`/`run`, it settles the owed cycles with
+    /// one call, so the bus is always current when observed.
     ///
     /// The default (no-op) pairs with the default `next_event`.
     fn advance(&mut self, cycles: u64) {

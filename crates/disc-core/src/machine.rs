@@ -4,7 +4,10 @@
 //!
 //! 1. ticks the external bus (peripherals may raise interrupts) and the
 //!    asynchronous bus interface (a completing transaction delivers data
-//!    and re-activates waiting streams);
+//!    and re-activates waiting streams). The bus tick is lazy: it runs
+//!    only on the cycle the bus's next event falls due, and the quiet
+//!    cycles before it are settled with one `advance` before the bus is
+//!    next accessed;
 //! 2. advances the pipeline, retiring the instruction in the write stage;
 //! 3. executes the instruction that just reached the EX stage
 //!    (next-to-last), resolving jumps (which flush younger same-stream
@@ -424,29 +427,19 @@ pub struct Machine {
     trace: Option<Box<dyn TraceSink>>,
     irq_buf: Vec<IrqRequest>,
     events: Vec<TraceEvent>,
-    /// Per-cycle scratch: stream spent this cycle in a spill stall
-    /// (feeds the attribution classifier without re-deriving state).
-    attr_spill: Vec<bool>,
-    /// Per-cycle scratch: stream was probed for issue but lost to a
-    /// same-stream data hazard.
-    attr_hazard: Vec<bool>,
-    /// Per-cycle readiness memo for the lazy fetch probe.
-    fetch_probe: Vec<Probe>,
-    /// Predecoded entry for streams probed `Ready`; a [`K_FAULT`] entry on
-    /// a stream whose next word does not decode (the fault is reported if
-    /// picked).
-    fetch_entry: Vec<OpEntry>,
+    /// The bus's latest [`DataBus::next_event`] answer: the first cycle
+    /// whose tick may have an effect. `None` until the bus is asked again:
+    /// after a real tick, after every bus read/write and at entry to every
+    /// public [`step`](Self::step)/[`run`](Self::run), since any of these
+    /// may have changed what the bus will do.
+    bus_due: Option<u64>,
+    /// Ticks the bus is behind the machine: quiet cycles before
+    /// `bus_due` are not ticked but owed, and one [`DataBus::advance`]
+    /// settles them before any other bus call. Zero between public calls.
+    bus_owed: u64,
     /// Fatal error latched inside the execute path (where `step`'s
     /// `Result` is out of reach) and surfaced at the end of the cycle.
     pending_error: Option<SimError>,
-}
-
-/// Per-stream fetch-readiness memo, reset every cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Probe {
-    Unknown,
-    Ready,
-    NotReady,
 }
 
 impl std::fmt::Debug for Machine {
@@ -522,10 +515,8 @@ impl Machine {
             trace: None,
             irq_buf: Vec::new(),
             events: Vec::new(),
-            attr_spill: vec![false; config.streams],
-            attr_hazard: vec![false; config.streams],
-            fetch_probe: vec![Probe::Unknown; config.streams],
-            fetch_entry: vec![NOP_ENTRY; config.streams],
+            bus_due: None,
+            bus_owed: 0,
             pending_error: None,
             ops,
             program: program.clone(),
@@ -593,6 +584,7 @@ impl Machine {
     /// asynchronous bus interface entirely: no latency, no transaction,
     /// no stats.
     pub fn bus_mut(&mut self) -> &mut dyn DataBus {
+        self.settle_bus();
         &mut *self.bus
     }
 
@@ -782,6 +774,16 @@ impl Machine {
     /// under [`BusFaultPolicy::Fault`] cannot be delivered because the
     /// stream masks the bus-error interrupt.
     pub fn run(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
+        // The host may have reprogrammed a peripheral through a shared
+        // handle since the last call: ask the bus for its next event anew.
+        self.bus_due = None;
+        let exit = self.run_cycles(max_cycles);
+        self.settle_bus();
+        exit
+    }
+
+    /// The body of [`run`](Self::run), which settles the bus after it.
+    fn run_cycles(&mut self, max_cycles: u64) -> Result<Exit, SimError> {
         // A finished machine must make `run` a strict no-op: a halted or
         // idle machine stays that way until an external input arrives, so
         // report it without burning a cycle — and without letting the
@@ -825,7 +827,7 @@ impl Machine {
                     self.sb_backoff -= 1;
                 }
             }
-            match self.step()? {
+            match self.slow_step()? {
                 Status::Running => {}
                 Status::Halted => break Exit::Halted,
                 Status::Breakpoint { stream, pc } => break Exit::Breakpoint { stream, pc },
@@ -934,7 +936,10 @@ impl Machine {
     /// entry rules out an ABI transaction and spill stalls, so for a burst
     /// the bound reduces to the budget, the bus and the sink — exact all
     /// the same.
-    fn horizon(&self, budget: u64) -> u64 {
+    ///
+    /// Settles the bus first, so its next event is asked at the bus's own
+    /// current cycle, and caches the answer for the steps that follow.
+    fn horizon(&mut self, budget: u64) -> u64 {
         let now = self.cycle;
         let mut wake = now.saturating_add(budget);
         if let Some(txn) = self.abi.current() {
@@ -952,9 +957,7 @@ impl Machine {
                 );
             }
         }
-        if let Some(t) = self.bus.next_event(now) {
-            wake = wake.min(t.max(now));
-        }
+        wake = wake.min(self.query_bus_due());
         for st in &self.streams {
             // The spill countdown and the fetch happen in the same step,
             // so a stream with `spill_stall == k` can issue during the
@@ -1019,7 +1022,7 @@ impl Machine {
         self.cycle += n;
         self.scheduler.advance_idle(n);
         self.abi.advance(n);
-        self.bus.advance(n);
+        self.bus_owed += n;
         debug_assert!(
             (0..self.streams.len()).all(|s| self.stats.attribution.total(s) == self.stats.cycles),
             "cycle attribution diverged from elapsed cycles during a quiescent stretch"
@@ -1043,7 +1046,7 @@ impl Machine {
     /// Superblock entry check: the active-stream mask and the cycle limit
     /// of a burst starting now, or `None` when the machine is not
     /// hazard-frozen or the horizon is this very cycle.
-    fn burst_entry(&self, budget: u64) -> Option<(u32, u64)> {
+    fn burst_entry(&mut self, budget: u64) -> Option<(u32, u64)> {
         // A sink that frames every cycle pins bursts off entirely; a
         // boundary-sampling sink merely bounds the run via the horizon.
         if self.halted
@@ -1361,19 +1364,19 @@ impl Machine {
             "cycle attribution diverged from elapsed cycles in a superblock run"
         );
         if decode_fault {
-            // The errored cycle skipped its bus tick above; mirror it here
-            // (still strictly inside the event-free stretch). The grant
-            // and slot advance of the partial cycle happened in
+            // The errored cycle's bus tick is owed too, as in the slow
+            // path (still strictly inside the event-free stretch). The
+            // grant and slot advance of the partial cycle happened in
             // `apply_burst`; like the slow path, the `reallocations`
             // snapshot and attribution are not updated for it.
-            self.bus.advance(executed + 1);
+            self.bus_owed += executed + 1;
             return Err(SimError::Decode {
                 stream: fault_stream,
                 pc: fault_pc,
                 word: self.program.word(fault_pc),
             });
         }
-        self.bus.advance(executed);
+        self.bus_owed += executed;
         Ok(executed)
     }
 
@@ -1385,24 +1388,25 @@ impl Machine {
     /// program word, or [`SimError::UnhandledBusFault`] when a bus fault
     /// cannot be delivered (see [`Machine::run`]).
     pub fn step(&mut self) -> Result<Status, SimError> {
+        // As in `run`: a host edit since the last call may move the bus's
+        // next event.
+        self.bus_due = None;
+        let status = self.slow_step();
+        self.settle_bus();
+        status
+    }
+
+    /// One full cycle of the machine, the body of [`step`](Self::step)
+    /// and the slow path of [`run`](Self::run).
+    fn slow_step(&mut self) -> Result<Status, SimError> {
         if self.halted {
             return Ok(Status::Halted);
         }
         self.events.clear();
-        self.attr_spill.fill(false);
-        self.attr_hazard.fill(false);
         let ex = self.config.pipeline_depth - 2;
 
         // 1. Peripheral time and interrupt lines.
-        self.irq_buf.clear();
-        self.bus.tick(&mut self.irq_buf);
-        let cycle = self.cycle;
-        for i in 0..self.irq_buf.len() {
-            let irq = self.irq_buf[i];
-            if irq.stream < self.streams.len() && irq.bit < 8 {
-                self.streams[irq.stream].raise(irq.bit, cycle);
-            }
-        }
+        self.tick_bus();
 
         // 2. Asynchronous bus interface. Under the fault policy a
         // transaction outstanding longer than `abi_timeout` is aborted —
@@ -1436,19 +1440,27 @@ impl Machine {
             status = self.execute(slot, ex);
         }
 
-        // 5. Spill stall countdown.
-        for s in 0..self.streams.len() {
-            if self.streams[s].spill_stall > 0 {
-                self.streams[s].spill_stall -= 1;
+        // 5. Spill stall countdown. The same pass notes whether any
+        // stream has an IR bit above background armed, the precondition
+        // of every vectored interrupt.
+        let mut spilled: u32 = 0;
+        let mut armed = false;
+        for (s, st) in self.streams.iter_mut().enumerate() {
+            if st.spill_stall > 0 {
+                st.spill_stall -= 1;
                 self.stats.spill_stall_cycles[s] += 1;
-                self.attr_spill[s] = true;
+                spilled |= 1 << s;
             }
+            armed |= (st.ir & st.mr) > 1;
         }
 
         // 6. Vector delivery and fetch.
+        let mut hazard: u32 = 0;
         if !self.halted {
-            self.deliver_vectors(ex);
-            self.fetch()?;
+            if armed {
+                self.deliver_vectors(ex);
+            }
+            hazard = self.fetch()?;
         }
 
         // 7. Per-stream wait accounting and cycle attribution. Every
@@ -1472,9 +1484,9 @@ impl Machine {
                 attr.bus_txn_wait[s] += 1;
             } else if st.wait == WaitState::BusFree {
                 attr.bus_free_wait[s] += 1;
-            } else if self.attr_spill[s] {
+            } else if spilled & (1 << s) != 0 {
                 attr.spill_stall[s] += 1;
-            } else if self.attr_hazard[s] {
+            } else if hazard & (1 << s) != 0 {
                 attr.hazard_stall[s] += 1;
             } else if !st.active() {
                 attr.idle[s] += 1;
@@ -1529,16 +1541,85 @@ impl Machine {
 
     // ---- internals ------------------------------------------------------
 
+    /// Peripheral time and interrupt lines for the current cycle. The bus
+    /// is ticked only once its next event falls due; before that, by the
+    /// [`DataBus::next_event`] contract, a tick has no effect, so it is
+    /// owed instead and settled in bulk before the next bus call.
+    fn tick_bus(&mut self) {
+        let cycle = self.cycle;
+        let due = match self.bus_due {
+            Some(due) => due,
+            None => self.query_bus_due(),
+        };
+        if cycle < due {
+            self.bus_owed += 1;
+            return;
+        }
+        self.settle_bus();
+        self.bus_due = None;
+        self.irq_buf.clear();
+        self.bus.tick(&mut self.irq_buf);
+        for i in 0..self.irq_buf.len() {
+            let irq = self.irq_buf[i];
+            if irq.stream < self.streams.len() && irq.bit < 8 {
+                self.streams[irq.stream].raise(irq.bit, cycle);
+            }
+        }
+    }
+
+    /// Asks the bus, once it has caught up with the machine, for its next
+    /// event (`u64::MAX` for none) and caches the answer as `bus_due`.
+    fn query_bus_due(&mut self) -> u64 {
+        self.settle_bus();
+        let now = self.cycle;
+        let due = self.bus.next_event(now).map_or(u64::MAX, |t| t.max(now));
+        self.bus_due = Some(due);
+        due
+    }
+
+    /// Pays the owed bus ticks with one [`DataBus::advance`], bringing the
+    /// bus level with the machine.
+    fn settle_bus(&mut self) {
+        if self.bus_owed > 0 {
+            self.bus.advance(self.bus_owed);
+            self.bus_owed = 0;
+        }
+    }
+
+    /// A bus read; it may change what the bus does next, so the cached
+    /// due cycle is dropped.
+    fn bus_read(&mut self, addr: u16) -> u16 {
+        self.settle_bus();
+        self.bus_due = None;
+        self.bus.read(addr)
+    }
+
+    /// A bus write; drops the cached due cycle like [`bus_read`]
+    /// (Self::bus_read).
+    fn bus_write(&mut self, addr: u16, value: u16) {
+        self.settle_bus();
+        self.bus_due = None;
+        self.bus.write(addr, value);
+    }
+
+    /// Stages a trace event for this cycle's record. Only a sink reads
+    /// the buffer, and no step clears it inside a superblock burst, so
+    /// without a sink nothing is pushed.
+    #[inline]
+    fn emit(&mut self, event: TraceEvent) {
+        if self.trace.is_some() {
+            self.events.push(event);
+        }
+    }
+
     /// Retires a slot just taken out of the pipe.
     fn retire(&mut self, slot: Slot) {
         self.live_slots -= 1;
         self.stats.retired[slot.stream] += 1;
-        if self.trace.is_some() {
-            self.events.push(TraceEvent::Retire {
-                stream: slot.stream,
-                pc: slot.pc,
-            });
-        }
+        self.emit(TraceEvent::Retire {
+            stream: slot.stream,
+            pc: slot.pc,
+        });
         let st = &mut self.streams[slot.stream];
         st.drop_pending(slot.seq);
         if slot.moves_window {
@@ -1577,29 +1658,24 @@ impl Machine {
                 FlushCause::Irq => self.stats.flushed_irq += count as u64,
                 FlushCause::BusBusy => self.stats.flushed_bus_busy += count as u64,
             }
-            // Gated like `retire`: events are only consumed by a sink, and
-            // an in-burst jump flush must not grow the buffer (no step —
-            // and thus no `events.clear()` — runs inside a superblock).
-            if self.trace.is_some() {
-                self.events.push(TraceEvent::Flush {
-                    stream,
-                    count,
-                    cause: cause.as_str(),
-                });
-            }
+            self.emit(TraceEvent::Flush {
+                stream,
+                count,
+                cause: cause.as_str(),
+            });
         }
     }
 
     fn complete_transaction(&mut self, txn: Transaction) {
         match txn.op {
             BusOp::Read { dest } => {
-                let value = self.bus.read(txn.addr);
+                let value = self.bus_read(txn.addr);
                 self.write_target(txn.stream, dest, value);
             }
-            BusOp::Write { value } => self.bus.write(txn.addr, value),
+            BusOp::Write { value } => self.bus_write(txn.addr, value),
             BusOp::TestAndSet { dest } => {
-                let old = self.bus.read(txn.addr);
-                self.bus.write(txn.addr, 0xffff);
+                let old = self.bus_read(txn.addr);
+                self.bus_write(txn.addr, 0xffff);
                 self.write_target(txn.stream, dest, old);
             }
         }
@@ -1616,8 +1692,7 @@ impl Machine {
                 st.wait = WaitState::None;
             }
         }
-        self.events
-            .push(TraceEvent::BusComplete { stream: txn.stream });
+        self.emit(TraceEvent::BusComplete { stream: txn.stream });
     }
 
     /// Aborts a timed-out transaction: the transfer never happens, the
@@ -1651,7 +1726,7 @@ impl Machine {
             self.pending_error = Some(SimError::UnhandledBusFault { stream: s, addr });
         }
         self.streams[s].raise(bit, cycle);
-        self.events.push(TraceEvent::BusFault {
+        self.emit(TraceEvent::BusFault {
             stream: s,
             addr,
             kind,
@@ -1662,6 +1737,7 @@ impl Machine {
     /// fault policy. `None` means the access was aborted (fault delivered)
     /// and must not touch the bus.
     fn fault_checked_latency(&mut self, s: usize, addr: u16, write: bool) -> Option<u32> {
+        self.settle_bus();
         match self.bus.latency(addr, write) {
             Some(latency) => Some(latency),
             None => {
@@ -1755,7 +1831,7 @@ impl Machine {
         let outcome = self.streams[s].window.adjust(delta);
         if outcome.stall_cycles > 0 {
             self.streams[s].spill_stall += outcome.stall_cycles;
-            self.events.push(TraceEvent::Spill {
+            self.emit(TraceEvent::Spill {
                 stream: s,
                 cycles: outcome.stall_cycles,
             });
@@ -2118,11 +2194,11 @@ impl Machine {
         };
         if latency == 0 {
             let value = if tset {
-                let old = self.bus.read(addr);
-                self.bus.write(addr, 0xffff);
+                let old = self.bus_read(addr);
+                self.bus_write(addr, 0xffff);
                 old
             } else {
-                self.bus.read(addr)
+                self.bus_read(addr)
             };
             self.write_reg(s, rd, value);
             self.apply_awp(s, awp);
@@ -2155,7 +2231,7 @@ impl Machine {
             return;
         };
         if latency == 0 {
-            self.bus.write(addr, value);
+            self.bus_write(addr, value);
             self.apply_awp(s, awp);
             return;
         }
@@ -2215,7 +2291,7 @@ impl Machine {
         self.streams[s].pc = slot.pc.wrapping_add(1);
         self.streams[s].wait = WaitState::BusTransaction;
         self.apply_awp(s, awp);
-        self.events.push(TraceEvent::BusStart {
+        self.emit(TraceEvent::BusStart {
             stream: s,
             addr,
             latency,
@@ -2266,7 +2342,7 @@ impl Machine {
                     .irq_latency
                     .record(self.cycle.saturating_sub(raised));
             }
-            self.events.push(TraceEvent::Vector {
+            self.emit(TraceEvent::Vector {
                 stream: s,
                 bit,
                 target,
@@ -2274,60 +2350,51 @@ impl Machine {
         }
     }
 
-    // (issue-hazard test lives in the free `stream_hazard_entry` so the
-    // lazy fetch probe can call it without borrowing the whole machine.)
-
-    fn fetch(&mut self) -> Result<(), SimError> {
-        let n = self.streams.len();
-        self.fetch_probe[..n].fill(Probe::Unknown);
+    /// Lets the scheduler pick a ready stream and fetches its next
+    /// instruction. Returns the streams probed this cycle that lost to a
+    /// same-stream data hazard, as a bitmask.
+    fn fetch(&mut self) -> Result<u32, SimError> {
         // The scheduler queries readiness on demand: on most cycles the
         // slot owner is ready and no other stream is ever decoded or
         // hazard-checked. Results are memoized per cycle because the
         // reallocation scan may revisit a stream.
+        let mut probed: u32 = 0;
+        let mut ready: u32 = 0;
+        let mut hazard: u32 = 0;
         let Self {
             scheduler,
             streams,
             stats,
             ops,
-            fetch_probe,
-            fetch_entry,
-            attr_hazard,
             ..
         } = self;
-        let picked = scheduler.pick_with(|s| match fetch_probe[s] {
-            Probe::Ready => true,
-            Probe::NotReady => false,
-            Probe::Unknown => {
+        let picked = scheduler.pick_with(|s| {
+            let bit = 1 << s;
+            if probed & bit == 0 {
+                probed |= bit;
                 let st = &streams[s];
-                let ready = if !st.active() || st.wait != WaitState::None || st.spill_stall > 0 {
-                    false
-                } else {
-                    // Addresses past the image are word 0 (`nop`).
-                    let entry = ops.get(st.pc as usize).copied().unwrap_or(NOP_ENTRY);
-                    if entry.kind == K_FAULT {
-                        // Report ready so the fetch below raises the fault
-                        // on the cycle the stream is actually picked.
-                        fetch_entry[s] = entry;
-                        true
-                    } else if stream_hazard_entry(st, &entry) {
-                        stats.hazard_stalls[s] += 1;
-                        attr_hazard[s] = true;
-                        false
+                if st.active() && st.wait == WaitState::None && st.spill_stall == 0 {
+                    // Addresses past the image are word 0 (`nop`). A word
+                    // that does not decode reports ready, so the fetch
+                    // below raises the fault on the cycle the stream is
+                    // actually picked.
+                    let entry = ops.get(st.pc as usize).unwrap_or(&NOP_ENTRY);
+                    if entry.kind == K_FAULT || !stream_hazard_entry(st, entry) {
+                        ready |= bit;
                     } else {
-                        fetch_entry[s] = entry;
-                        true
+                        stats.hazard_stalls[s] += 1;
+                        hazard |= bit;
                     }
-                };
-                fetch_probe[s] = if ready { Probe::Ready } else { Probe::NotReady };
-                ready
+                }
             }
+            ready & bit != 0
         });
         let Some(s) = picked else {
             self.stats.bubbles += 1;
-            return Ok(());
+            return Ok(hazard);
         };
         let pc = self.streams[s].pc;
-        let e = self.fetch_entry[s];
+        let e = self.ops.get(pc as usize).copied().unwrap_or(NOP_ENTRY);
         if e.kind == K_FAULT {
             return Err(SimError::Decode {
                 stream: s,
@@ -2360,7 +2427,7 @@ impl Machine {
             kind: e.kind,
         });
         self.live_slots += 1;
-        Ok(())
+        Ok(hazard)
     }
 
     // ---- snapshot / restore ---------------------------------------------
@@ -2382,6 +2449,7 @@ impl Machine {
     /// Snapshots capture state *between* cycles; call this only at a cycle
     /// boundary (never from inside a [`TraceSink`] callback).
     pub fn snapshot(&self) -> Vec<u8> {
+        debug_assert_eq!(self.bus_owed, 0, "public calls settle the bus");
         let mut w = SnapWriter::new();
         disc_snap::write_header(
             &mut w,
@@ -2465,9 +2533,10 @@ impl Machine {
     /// bytes, so restore *applies* serialized state to an
     /// identically-assembled machine rather than conjuring one.
     ///
-    /// Per-cycle scratch (pending trace events, IRQ staging, attribution
-    /// flags) is cleared, so an attached [`TraceSink`] resumes cleanly at
-    /// the restored cycle with no stale events from before the snapshot.
+    /// Per-cycle scratch (pending trace events, IRQ staging) is cleared,
+    /// so an attached [`TraceSink`] resumes cleanly at the restored cycle
+    /// with no stale events from before the snapshot, and the bus's next
+    /// event is asked anew.
     ///
     /// # Errors
     ///
@@ -2594,10 +2663,9 @@ impl Machine {
         // first cycle after restore.
         self.events.clear();
         self.irq_buf.clear();
-        self.attr_spill.fill(false);
-        self.attr_hazard.fill(false);
-        self.fetch_probe.fill(Probe::Unknown);
-        self.fetch_entry.fill(NOP_ENTRY);
+        // The bus state was just replaced wholesale.
+        self.bus_due = None;
+        self.bus_owed = 0;
         Ok(())
     }
 
