@@ -1,40 +1,19 @@
 # Convenience targets for the DISC reproduction.
 
-.PHONY: all test bench bench-check bench-serve bench-serve-scale profile repro repro-quick soak soak-resume boards-check serve serve-smoke fuzz fuzz-long reports docs clippy examples clean
+.PHONY: all test bench-gate profile repro repro-quick soak soak-resume boards-check serve serve-smoke fuzz fuzz-long reports docs clippy examples clean
 
 all: test
 
 test:
 	cargo test --workspace
 
-# Simulator-throughput benchmark: writes BENCH_core.json at the repo root
-# with simulated cycles/sec for four workloads in both step modes next to
-# the recorded seed baseline (see EXPERIMENTS.md "Performance").
-bench:
-	cargo run --release -p disc-bench --bin bench_core
-
-# Perf-regression gate: quick re-measure of every workload (median of 3
-# reps, so one noisy rep cannot fake a regression), exit 1 if any rate
-# drops >25% below the committed BENCH_core.json baseline.
-# DISC_DISPATCH=legacy|superblock selects which dispatcher is measured
-# and which baseline column gates it (default: superblock). CI runs both
-# after the bench smoke step.
-bench-check:
-	DISC_BENCH_REPS=3 cargo run --release -p disc-bench --bin bench_core -- --check
-
-# Service throughput benchmark: drives a fleet of sessions against an
-# in-process disc-serve server over real TCP and splices sessions/sec
-# plus p50/p99 run-step latency into the "serve" section of
-# BENCH_core.json (see EXPERIMENTS.md "Fleet serving").
-bench-serve:
-	cargo run --release -p disc-bench --bin bench_serve
-
-# Multicore scaling sweep: measures the same fleet workload at 1/2/4/8
-# workers and records per-point sessions/sec, p50/p99 step latency and
-# scaling efficiency versus the sweep's own 1-worker point. Honours
-# DISC_SERVE_WORKERS for single-point runs via plain bench-serve.
-bench-serve-scale:
-	cargo run --release -p disc-bench --bin bench_serve -- --scale
+# Same-process ratio gate: times the superblock burst and quiescence
+# skip paths against a plain step() loop, and served fleets against an
+# in-process fleet and against each other, in interleaved pairs so host
+# speed divides out; exit 1 on a failed ratio or a diverging machine
+# state (see EXPERIMENTS.md "Performance"). CI runs it on every push.
+bench-gate:
+	cargo run --release -p disc-bench --bin bench_gate
 
 # Profiler wrapper over the bench hot path: builds the single-workload
 # profile_target with the `profiling` profile (release codegen + debug
@@ -95,12 +74,10 @@ serve:
 	cargo run --release -p disc-serve --bin disc_served
 
 # End-to-end service smoke: boot the disc_served binary on an ephemeral
-# port, drive sessions through the bench_serve load-generator client,
-# then replay a raw-protocol transcript and validate the streamed
+# port, replay a raw-protocol transcript and validate the streamed
 # run-report schema (CI runs this on every push).
 serve-smoke:
 	cargo build --release -p disc-serve --bin disc_served
-	cargo build --release -p disc-bench --bin bench_serve
 	bash scripts/serve_smoke.sh
 
 # Differential fuzzing against the disc-ref golden-reference interpreter
@@ -141,6 +118,10 @@ examples:
 	cargo run --release --example compiled_script
 	cargo run --release --example stochastic_study
 
+# Removes build output and the ignored scratch under results/; the
+# committed exports there stay (`make repro` and CI's drift check read
+# them).
 clean:
 	cargo clean
-	rm -rf results profile.er profile.perf.data
+	rm -rf results/*.report.json results/ckpt results/soak-resume results/serve-smoke \
+		results/*.trace.jsonl profile.er profile.perf.data

@@ -1,7 +1,7 @@
 //! Profiling harness: runs a single named workload hot for long enough
 //! that a sampling profiler (`perf`, `gprofng`) gets a clean picture of
 //! the simulator's dispatch loop, without the multi-workload mixing and
-//! timing scaffolding of `bench_core`.
+//! timing scaffolding of `bench_gate`.
 //!
 //! Usage: `profile_target [workload] [cycles]` where `workload` is one of
 //! `compute` (default), `branch`, `io` or `irq`, and `cycles` is the

@@ -1,8 +1,8 @@
 //! Canonical example machines — single source of truth.
 //!
 //! Every hard-coded example machine used across the harness (the five
-//! `bench_core` throughput workloads and the paper-figure machines) is
-//! constructed here, so `bench_core`, the figure renderers, the
+//! throughput workloads and the paper-figure machines) is constructed
+//! here, so `bench_gate`, `profile_target`, the figure renderers, the
 //! board-differential suite and the committed `boards/` files all agree
 //! on the exact program text and configuration. The boards under
 //! `boards/` are the declarative twins of these constructors; the

@@ -1,10 +1,10 @@
 //! A dependency-free JSON value tree with deterministic rendering.
 //!
 //! The repo's policy is no external crates beyond the vendored stand-ins,
-//! so structured output (like `BENCH_core.json` before it) is rendered by
-//! hand. This module centralizes that: build a [`Json`] tree, render it
-//! compact (JSONL) or pretty (reports). Object keys keep insertion order
-//! so output is byte-stable run to run.
+//! so structured output is rendered by hand. This module centralizes
+//! that: build a [`Json`] tree, render it compact (JSONL) or pretty
+//! (reports). Object keys keep insertion order so output is byte-stable
+//! run to run.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -5,8 +5,8 @@
 //! back — while events that arrive in between (sample windows, trace
 //! frames, lifecycle notifications) are queued and surfaced through
 //! [`Client::next_event`] / [`Client::wait_event`]. This is the client
-//! the `bench_serve` load generator and the `serve-smoke` harness are
-//! built on; it is deliberately simple rather than maximally
+//! the `bench_gate` serve checks and the repository benchmark drive
+//! fleets with; it is deliberately simple rather than maximally
 //! concurrent, because the interesting concurrency lives server-side.
 
 use std::collections::VecDeque;
