@@ -15,14 +15,14 @@ test:
 bench-gate:
 	cargo run --release -p disc-bench --bin bench_gate
 
-# Profiler wrapper over the bench hot path: builds the single-workload
+# Profiler wrapper over the bench hot path: builds the single-board
 # profile_target with the `profiling` profile (release codegen + debug
 # symbols) and runs it under whichever sampling profiler the machine has
 # (perf, then gprofng), falling back to a plain timed run when neither is
-# installed. `make profile WORKLOAD=branch CYCLES=20000000` selects the
-# workload (compute|branch|io|irq) and cycle count;
+# installed. `make profile WORKLOAD=branch_heavy_4s CYCLES=20000000`
+# selects the catalog board (any name under boards/) and cycle count;
 # DISC_DISPATCH=legacy profiles the legacy dispatcher instead.
-WORKLOAD ?= compute
+WORKLOAD ?= compute_bound_4s
 CYCLES ?= 50000000
 profile:
 	cargo build --profile profiling -p disc-bench --bin profile_target

@@ -30,7 +30,6 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use disc_bench::fuzz::diff_machines;
-use disc_bench::workloads::{build_twin, timer_idle_1s_config, timer_idle_bus, timer_program};
 use disc_core::{Exit, Machine, MachineConfig, SimError, StepMode};
 use disc_isa::Program;
 use disc_obs::Json;
@@ -45,34 +44,39 @@ const CORE_PAIRS: usize = 11;
 /// Simulated cycles per side of a core pair.
 const CORE_CYCLES: u64 = 500_000;
 
-/// A core workload: the machine both sides start from, and the least
-/// median step-loop/`run` time ratio it must reach.
+/// A core workload: the catalog board both sides start from, the step
+/// mode its `run` side uses, and the least median step-loop/`run` time
+/// ratio it must reach.
 struct CoreGate {
     name: &'static str,
+    step: StepMode,
     bound: f64,
-    build: fn() -> Machine,
+}
+
+impl CoreGate {
+    fn build(&self) -> Machine {
+        let board = disc_bench::board(self.name);
+        board
+            .machine_with_modes(self.step, board.config.dispatch_mode)
+            .unwrap_or_else(|e| panic!("{}.board builds: {e}", self.name))
+    }
 }
 
 const CORE_GATES: [CoreGate; 3] = [
     CoreGate {
         name: "compute_bound_4s",
+        step: StepMode::CycleByCycle,
         bound: 1.5,
-        build: || build_twin("compute_bound_4s"),
     },
     CoreGate {
         name: "branch_heavy_4s",
+        step: StepMode::CycleByCycle,
         bound: 1.5,
-        build: || build_twin("branch_heavy_4s"),
     },
     CoreGate {
         name: "timer_idle_1s",
+        step: StepMode::EventSkip,
         bound: 35.0,
-        build: || {
-            let config = timer_idle_1s_config().with_step_mode(StepMode::EventSkip);
-            let mut m = Machine::with_bus(config, &timer_program(), Box::new(timer_idle_bus()));
-            m.set_idle_exit(false);
-            m
-        },
     },
 ];
 
@@ -178,7 +182,7 @@ fn core_gates() -> Res<bool> {
     let mut ok = true;
     for gate in &CORE_GATES {
         let ratios = (0..CORE_PAIRS)
-            .map(|i| pair((gate.build)(), (gate.build)(), CORE_CYCLES, i % 2 == 0))
+            .map(|i| pair(gate.build(), gate.build(), CORE_CYCLES, i % 2 == 0))
             .collect::<Res<Vec<f64>>>()
             .map_err(|e| format!("{}: {e}", gate.name))?;
         ok &= report(
@@ -339,13 +343,10 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disc_bench::workloads::{branch_program, compute_program};
 
     #[test]
     fn pair_refuses_a_ratio_for_diverging_machines() {
-        let config = || MachineConfig::disc1().with_streams(4);
-        let compute = Machine::new(config(), &compute_program(4));
-        let branch = Machine::new(config(), &branch_program(4));
+        let (compute, branch) = (CORE_GATES[0].build(), CORE_GATES[1].build());
         let err = pair(compute, branch, 2_000, false).expect_err("different programs diverge");
         assert!(err.to_string().contains("run vs step loop"), "{err}");
     }
@@ -353,7 +354,7 @@ mod tests {
     #[test]
     fn pair_times_equal_machines() {
         let gate = &CORE_GATES[0];
-        let ratio = pair((gate.build)(), (gate.build)(), 2_000, true).expect("same machine");
+        let ratio = pair(gate.build(), gate.build(), 2_000, true).expect("same machine");
         assert!(ratio.is_finite() && ratio > 0.0, "{ratio}");
     }
 

@@ -1,16 +1,22 @@
 //! Reproductions of the paper's figures on the cycle-accurate machine.
 
 use disc_core::{Machine, MachineConfig, StepMode};
-use disc_isa::{Program, Reg};
+use disc_isa::Reg;
 
-use crate::workloads;
+/// The catalog machine `boards/<name>.board` under step mode `mode`.
+fn machine(name: &str, mode: StepMode) -> Machine {
+    let board = crate::board(name);
+    board
+        .machine_with_modes(mode, board.config.dispatch_mode)
+        .unwrap_or_else(|e| panic!("{name}.board builds: {e}"))
+}
 
 /// Figure 3.1 — the interleaved pipeline: five independent streams on a
 /// five-stage pipe; every stage holds a different stream every cycle.
 ///
 /// # Panics
 ///
-/// Panics if the demo program fails to assemble or run (a bug).
+/// Panics if the catalog board fails to load, build or run (a bug).
 pub fn fig_3_1_interleaved_pipeline() -> String {
     fig_3_1_with(StepMode::CycleByCycle)
 }
@@ -19,11 +25,9 @@ pub fn fig_3_1_interleaved_pipeline() -> String {
 /// equivalence tests render every figure in both modes and require
 /// byte-identical text.
 pub fn fig_3_1_with(mode: StepMode) -> String {
-    let program = workloads::compute_program(5);
     // An exact 5-slot sequence keeps consecutive slots on distinct
     // streams (a 16-slot table over 5 streams would double up).
-    let cfg = workloads::fig_3_1_config().with_step_mode(mode);
-    let mut m = Machine::new(cfg, &program);
+    let mut m = machine("fig_3_1", mode);
     // Warm the pipe, then trace a window.
     m.run(10).unwrap();
     m.trace_start(12);
@@ -48,23 +52,23 @@ pub fn fig_3_1_with(mode: StepMode) -> String {
 ///
 /// # Panics
 ///
-/// Panics if the demo program fails to assemble or run (a bug).
+/// Panics if the catalog board fails to load, build or run (a bug).
 pub fn fig_3_2_jump() -> String {
     fig_3_2_with(StepMode::CycleByCycle)
 }
 
 /// [`fig_3_2_jump`] under an explicit [`StepMode`].
 pub fn fig_3_2_with(mode: StepMode) -> String {
-    let run_with = |streams: usize| {
-        let program = workloads::compute_program(streams);
-        let cfg = workloads::fig_3_2_config(streams).with_step_mode(mode);
-        let mut m = Machine::new(cfg, &program);
+    // The five-stream half is the figure 3.1 machine: the same loop on
+    // the same pipe and sequence table.
+    let run_with = |name: &str| {
+        let mut m = machine(name, mode);
         m.run(400).unwrap();
         let st = m.stats();
         (st.flushed_jump, st.utilization())
     };
-    let (flush1, pd1) = run_with(1);
-    let (flush5, pd5) = run_with(5);
+    let (flush1, pd1) = run_with("fig_3_2_1s");
+    let (flush5, pd5) = run_with("fig_3_1");
     format!(
         "Figure 3.2 - Interleaved Pipeline During a Jump\n\n\
          same loop, 400 cycles, 5-stage pipe:\n\
@@ -81,17 +85,14 @@ pub fn fig_3_2_with(mode: StepMode) -> String {
 ///
 /// # Panics
 ///
-/// Panics if the demo program fails to assemble or run (a bug).
+/// Panics if the catalog board fails to load, build or run (a bug).
 pub fn fig_3_3_dynamic() -> String {
     fig_3_3_with(StepMode::CycleByCycle)
 }
 
 /// [`fig_3_3_dynamic`] under an explicit [`StepMode`].
 pub fn fig_3_3_with(mode: StepMode) -> String {
-    let program = Program::assemble(&workloads::fig_3_3_source()).unwrap();
-    let cfg = workloads::fig_3_3_config().with_step_mode(mode);
-    let mut m = Machine::new(cfg, &program);
-    m.set_idle_exit(false);
+    let mut m = machine("fig_3_3", mode);
 
     let mut out = String::from(
         "Figure 3.3 - Dynamic Instruction Stream Diagram\n\
@@ -132,7 +133,7 @@ pub fn fig_3_3_with(mode: StepMode) -> String {
 ///
 /// # Panics
 ///
-/// Panics if the demo program fails to assemble or run (a bug).
+/// Panics if the catalog board fails to load, build or run (a bug).
 pub fn fig_3_4_stack_window() -> String {
     fig_3_4_with(StepMode::CycleByCycle)
 }
@@ -141,8 +142,7 @@ pub fn fig_3_4_stack_window() -> String {
 /// single-steps the machine, where skipping never engages; the knob
 /// still exercises the mode plumbing.
 pub fn fig_3_4_with(mode: StepMode) -> String {
-    let program = Program::assemble(workloads::FIG_3_4_SOURCE).unwrap();
-    let mut m = Machine::new(workloads::fig_3_4_config().with_step_mode(mode), &program);
+    let mut m = machine("fig_3_4", mode);
     let mut out = String::from(
         "Figures 3.4/3.5 - Stack Window Movements\n\n\
          cycle  AWP  event\n",

@@ -31,6 +31,7 @@ use disc_core::{
 };
 use disc_isa::{encode::encode, AluImmOp, AluOp, AwpMode, Cond, Instruction, Program, Reg};
 use disc_ref::{RefConfig, RefExit, RefMachine};
+use disc_snap::splitmix64;
 
 /// Cycle budget for the machine; generated programs finish far earlier,
 /// so hitting this is itself reported as a divergence.
@@ -55,11 +56,9 @@ impl SplitMix64 {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
+        let z = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform value in `0..n` (`n > 0`).

@@ -10,10 +10,28 @@ pub mod experiments;
 pub mod figures;
 pub mod fuzz;
 pub mod replay;
-pub mod workloads;
 
+use disc_board::Board;
 use disc_core::{SkipStats, StepMode};
 use disc_obs::Json;
+
+/// The committed board catalog: one `<name>.board` file per canonical
+/// machine (the paper-figure machines and the bench workloads). Anchored
+/// on this crate's manifest, not the working directory, so the binaries
+/// find it wherever they are run from.
+pub const BOARDS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../boards");
+
+/// Loads and parses the catalog board `boards/<name>.board`.
+///
+/// # Panics
+///
+/// Panics when the file is missing or does not parse: the catalog is
+/// committed, so either is a bug.
+pub fn board(name: &str) -> Board {
+    let path = format!("{BOARDS_DIR}/{name}.board");
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    Board::parse(&text).unwrap_or_else(|e| panic!("{name}.board parses: {e}"))
+}
 
 /// Builds the v2 `timing` section for a stochastic sweep report: the
 /// model is stepped cycle by cycle (event skipping applies only to the

@@ -16,8 +16,6 @@
 //! port) and faulted boards to the same invisibility contract the
 //! hand-built scenarios already obey.
 
-use std::path::PathBuf;
-
 use disc_board::Board;
 use disc_core::{DispatchMode, Exit, Machine, StepMode};
 use disc_obs::stats_json;
@@ -28,15 +26,6 @@ const COMBOS: [(DispatchMode, StepMode); 4] = [
     (DispatchMode::Superblock, StepMode::CycleByCycle),
     (DispatchMode::Superblock, StepMode::EventSkip),
 ];
-
-fn load_board(name: &str) -> Board {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../boards")
-        .join(format!("{name}.board"));
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    Board::parse(&text).unwrap_or_else(|e| panic!("{name}.board parses: {e}"))
-}
 
 /// Advances `m` to absolute cycle `target`, raising each `(cycle,
 /// stream, bit)` interrupt exactly when the machine reaches its cycle.
@@ -70,7 +59,7 @@ fn drive(m: &mut Machine, target: u64, irqs: &[(u64, usize, u8)]) {
 /// restored-from-snapshot}, all ending byte-identical within a combo and
 /// stats-identical across combos.
 fn assert_board_matrix(name: &str, horizon: u64, irqs: &[(u64, usize, u8)]) {
-    let board = load_board(name);
+    let board = disc_bench::board(name);
     let mut reference_stats: Option<String> = None;
     let mut cycle_by_cycle_bursts = None;
 
@@ -205,7 +194,7 @@ fn faulted_io_2s_matrix() {
 /// combos (already asserted above) and nonzero (asserted here).
 #[test]
 fn dma_copy_2s_moves_words_and_stalls_streams() {
-    let board = load_board("dma_copy_2s");
+    let board = disc_bench::board("dma_copy_2s");
     let mut m = board.machine().expect("dma board builds");
     drive(&mut m, 8_000, &[]);
     let txn_wait: u64 = m.stats().attribution.bus_txn_wait.iter().sum();
@@ -217,5 +206,32 @@ fn dma_copy_2s_moves_words_and_stalls_streams() {
     assert!(
         m.stats().external_accesses > 0,
         "DMA board never touched the external bus"
+    );
+}
+
+#[test]
+fn every_committed_board_parses_and_builds() {
+    // The whole catalog, including boards no matrix test above names,
+    // must parse, build and make progress.
+    let mut seen = 0;
+    for entry in std::fs::read_dir(disc_bench::BOARDS_DIR).expect("boards/ exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("board") {
+            continue;
+        }
+        seen += 1;
+        let text = std::fs::read_to_string(&path).expect("read board");
+        let board =
+            Board::parse(&text).unwrap_or_else(|e| panic!("{} parses: {e}", path.display()));
+        let mut m = board
+            .machine()
+            .unwrap_or_else(|e| panic!("{} builds: {e}", path.display()));
+        m.run(256)
+            .unwrap_or_else(|e| panic!("{} runs: {e:?}", path.display()));
+        assert!(m.stats().cycles > 0, "{} made no progress", path.display());
+    }
+    assert!(
+        seen >= 13,
+        "expected at least 13 committed boards, found {seen}"
     );
 }

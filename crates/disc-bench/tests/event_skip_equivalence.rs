@@ -16,7 +16,6 @@ use std::collections::BTreeSet;
 
 use disc_bench::figures;
 use disc_bench::fuzz::{compare, diff_machines, generate};
-use disc_bench::workloads::{io_program, irq_program, timer_program};
 use disc_bus::{
     BlockStorage, DmaEngine, ExtRam, PacketPort, PeripheralBus, Shared, Timer, Uart, Watchdog,
 };
@@ -95,16 +94,19 @@ fn assert_modes_equivalent(
     );
 }
 
+/// The catalog machine `boards/<name>.board` under step mode `mode`.
+fn catalog(name: &str, mode: StepMode) -> Machine {
+    disc_bench::board(name)
+        .machine_with_modes(mode, DispatchMode::Superblock)
+        .expect("catalog board builds")
+}
+
 #[test]
 fn io_bound_2s_attribution_matches() {
-    let program = io_program();
     assert_modes_equivalent(
         "io_bound_2s",
         false, // the compute stream keeps a slot live every cycle
-        |mode| {
-            let config = MachineConfig::disc1().with_streams(2).with_step_mode(mode);
-            Machine::new(config, &program)
-        },
+        |mode| catalog("io_bound_2s", mode),
         |m| {
             m.run(50_000).expect("io run");
         },
@@ -113,15 +115,10 @@ fn io_bound_2s_attribution_matches() {
 
 #[test]
 fn interrupt_heavy_3s_attribution_matches() {
-    let program = irq_program(3);
     assert_modes_equivalent(
         "interrupt_heavy_3s",
         false, // three busy streams: never quiescent
-        |mode| {
-            let mut m = Machine::new(MachineConfig::disc1().with_step_mode(mode), &program);
-            m.set_idle_exit(false);
-            m
-        },
+        |mode| catalog("interrupt_heavy_3s", mode),
         |m| {
             // Same driver as the bench workload: an external interrupt
             // every 50 cycles, advanced through run(), not step().
@@ -135,19 +132,10 @@ fn interrupt_heavy_3s_attribution_matches() {
 
 #[test]
 fn timer_idle_quiescence_matches_and_skips() {
-    let program = timer_program();
     assert_modes_equivalent(
         "timer_idle",
         true, // parked between timer fires: quiescence-dominated
-        |mode| {
-            let mut bus = PeripheralBus::new();
-            bus.map(0x9000, Timer::REGS, Box::new(Timer::periodic(1_000, 0, 5)))
-                .expect("map timer");
-            let config = MachineConfig::disc1().with_streams(1).with_step_mode(mode);
-            let mut m = Machine::with_bus(config, &program, Box::new(bus));
-            m.set_idle_exit(false);
-            m
-        },
+        |mode| catalog("timer_idle_1s", mode),
         |m| {
             m.run(60_000).expect("timer run");
         },

@@ -107,25 +107,19 @@ fn assert_roundtrip(
     }
 }
 
+/// [`assert_roundtrip`] over the catalog machine `boards/<name>.board`.
+fn assert_catalog_roundtrip(name: &str, horizon: u64, irqs: &[(u64, usize, u8)]) {
+    let board = disc_bench::board(name);
+    assert_roundtrip(name, horizon, irqs, |dispatch, step| {
+        board
+            .machine_with_modes(step, dispatch)
+            .expect("catalog board builds")
+    });
+}
+
 #[test]
 fn fig_3_1_interleaved_pipeline_roundtrips() {
-    let mut src = String::new();
-    for s in 0..5 {
-        src.push_str(&format!(".stream {s}, l{s}\n"));
-        src.push_str(&format!(
-            "l{s}:\n    addi r0, r0, 1\n    addi r1, r1, 1\n    addi r2, r2, 1\n    jmp l{s}\n"
-        ));
-    }
-    let program = Program::assemble(&src).expect("fig 3.1 program");
-    assert_roundtrip("fig_3_1", 4_000, &[], |dispatch, step| {
-        let cfg = MachineConfig::disc1()
-            .with_streams(5)
-            .with_pipeline_depth(5)
-            .with_schedule(SchedulePolicy::Sequence(vec![0, 1, 2, 3, 4]))
-            .with_dispatch_mode(dispatch)
-            .with_step_mode(step);
-        Machine::new(cfg, &program)
-    });
+    assert_catalog_roundtrip("fig_3_1", 4_000, &[]);
 }
 
 #[test]
@@ -201,44 +195,15 @@ fn fig_3_4_stack_window_roundtrips() {
 
 #[test]
 fn io_bound_2s_roundtrips() {
-    let program = Program::assemble(
-        ".stream 0, a\n.stream 1, b\n\
-         a: lui r0, 0x80\nla: ld r1, [r0]\n    st r1, [r0]\n    jmp la\n\
-         b: ldi r0, 0\nlb: addi r0, r0, 1\n    jmp lb\n",
-    )
-    .expect("io program");
-    assert_roundtrip("io_bound_2s", 20_000, &[], |dispatch, step| {
-        let cfg = MachineConfig::disc1()
-            .with_streams(2)
-            .with_dispatch_mode(dispatch)
-            .with_step_mode(step);
-        Machine::new(cfg, &program)
-    });
+    assert_catalog_roundtrip("io_bound_2s", 20_000, &[]);
 }
 
 #[test]
 fn interrupt_heavy_3s_roundtrips() {
-    let mut src = String::new();
-    for s in 0..3 {
-        src.push_str(&format!(".stream {s}, work{s}\n"));
-        src.push_str(&format!(
-            "work{s}:\n    addi r0, r0, 1\n    addi r1, r1, 1\n    jmp work{s}\n"
-        ));
-    }
-    src.push_str(".vector 3, 5, isr\n");
-    src.push_str("isr:\n    lda r0, 0x40\n    addi r0, r0, 1\n    sta r0, 0x40\n    reti\n");
-    let program = Program::assemble(&src).expect("irq program");
     // An external interrupt every 50 cycles, including ones that land
     // right around the 40% snapshot cut.
     let irqs: Vec<(u64, usize, u8)> = (1..160).map(|i| (i * 50, 3usize, 5u8)).collect();
-    assert_roundtrip("interrupt_heavy_3s", 8_000, &irqs, |dispatch, step| {
-        let cfg = MachineConfig::disc1()
-            .with_dispatch_mode(dispatch)
-            .with_step_mode(step);
-        let mut m = Machine::new(cfg, &program);
-        m.set_idle_exit(false);
-        m
-    });
+    assert_catalog_roundtrip("interrupt_heavy_3s", 8_000, &irqs);
 }
 
 #[test]

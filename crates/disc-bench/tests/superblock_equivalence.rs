@@ -17,7 +17,6 @@
 use std::collections::BTreeSet;
 
 use disc_bench::fuzz::{compare, diff_machines, generate};
-use disc_bench::workloads::{branch_program, compute_program, irq_program};
 use disc_bus::{BlockStorage, DmaEngine, ExtRam, PacketPort, PeripheralBus, Shared, Timer};
 use disc_core::{BusFaultPolicy, DispatchMode, Machine, MachineConfig, SimError, StepMode};
 use disc_faults::{AddrRange, FaultInjector, FaultPlan, FaultWindow};
@@ -107,19 +106,26 @@ fn assert_dispatch_equivalent(
     );
 }
 
+/// The catalog machine `boards/<name>.board` under `dispatch`.
+fn catalog(name: &str, dispatch: DispatchMode) -> Machine {
+    disc_bench::board(name)
+        .machine_with_modes(StepMode::CycleByCycle, dispatch)
+        .expect("catalog board builds")
+}
+
+/// Two streams of the compute loop (`compute_bound_4s` halved).
+const COMPUTE_2S: &str = ".stream 0, l0\n\
+     l0:\n    addi r0, r0, 1\n    addi r1, r1, 1\n    addi r2, r2, 1\n    jmp l0\n\
+     .stream 1, l1\n\
+     l1:\n    addi r0, r0, 1\n    addi r1, r1, 1\n    addi r2, r2, 1\n    jmp l1\n";
+
 /// Pure compute: one long burst should cover nearly the whole run.
 #[test]
 fn compute_bound_bursts_and_matches() {
-    let program = compute_program(4);
     assert_dispatch_equivalent(
         "compute_bound_4s",
         true,
-        |dispatch| {
-            let config = MachineConfig::disc1()
-                .with_streams(4)
-                .with_dispatch_mode(dispatch);
-            Machine::new(config, &program)
-        },
+        |dispatch| catalog("compute_bound_4s", dispatch),
         |m| {
             m.run(50_000).expect("compute run");
         },
@@ -129,16 +135,10 @@ fn compute_bound_bursts_and_matches() {
 /// Branch-heavy loops: taken jumps flush in-burst and must not end it.
 #[test]
 fn branch_heavy_bursts_and_matches() {
-    let program = branch_program(4);
     assert_dispatch_equivalent(
         "branch_heavy_4s",
         true,
-        |dispatch| {
-            let config = MachineConfig::disc1()
-                .with_streams(4)
-                .with_dispatch_mode(dispatch);
-            Machine::new(config, &program)
-        },
+        |dispatch| catalog("branch_heavy_4s", dispatch),
         |m| {
             m.run(50_000).expect("branch run");
         },
@@ -149,16 +149,10 @@ fn branch_heavy_bursts_and_matches() {
 /// the wake source and deliver with legacy-identical latency accounting.
 #[test]
 fn interrupt_mid_run_matches() {
-    let program = irq_program(3);
     assert_dispatch_equivalent(
         "interrupt_mid_run",
         true,
-        |dispatch| {
-            let config = MachineConfig::disc1().with_dispatch_mode(dispatch);
-            let mut m = Machine::new(config, &program);
-            m.set_idle_exit(false);
-            m
-        },
+        |dispatch| catalog("interrupt_heavy_3s", dispatch),
         |m| {
             // The run() chunking mirrors the bench driver, but the raises
             // are spaced out: a pending vector rejects burst entry, so
@@ -514,7 +508,7 @@ fn decode_fault_in_burst_matches() {
 /// JSONL output under either dispatcher.
 #[test]
 fn trace_sink_pins_bursts_and_bytes_match() {
-    let program = compute_program(2);
+    let program = Program::assemble(COMPUTE_2S).expect("compute program");
     let trace_bytes = |dispatch| {
         let config = MachineConfig::disc1()
             .with_streams(2)
@@ -550,7 +544,7 @@ fn trace_sink_pins_bursts_and_bytes_match() {
 /// and the streamed sample bytes are identical to legacy dispatch.
 #[test]
 fn sampling_sink_bursts_between_window_boundaries_with_identical_samples() {
-    let program = compute_program(2);
+    let program = Program::assemble(COMPUTE_2S).expect("compute program");
     let sample_bytes = |dispatch| {
         let config = MachineConfig::disc1()
             .with_streams(2)

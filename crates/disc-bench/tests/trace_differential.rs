@@ -9,8 +9,8 @@
 //! the same records and renders exactly the same pipeline diagram and VCD
 //! text.
 
-use disc_core::{CycleRecord, Machine, MachineConfig, SchedulePolicy, Trace, TraceSink};
-use disc_isa::{Program, Reg};
+use disc_core::{CycleRecord, Machine, Trace, TraceSink};
+use disc_isa::Reg;
 
 /// Unbounded record collector (stands in for "what the machine emitted").
 struct CollectSink {
@@ -91,20 +91,9 @@ fn assert_ring_matches_naive(
 
 #[test]
 fn fig_3_1_workload_ring_matches_pre_refactor() {
+    let board = disc_bench::board("fig_3_1");
     let build = || {
-        let mut src = String::new();
-        for s in 0..5 {
-            src.push_str(&format!(".stream {s}, l{s}\n"));
-            src.push_str(&format!(
-                "l{s}:\n    addi r0, r0, 1\n    addi r1, r1, 1\n    addi r2, r2, 1\n    jmp l{s}\n"
-            ));
-        }
-        let program = Program::assemble(&src).unwrap();
-        let cfg = MachineConfig::disc1()
-            .with_streams(5)
-            .with_pipeline_depth(5)
-            .with_schedule(SchedulePolicy::Sequence(vec![0, 1, 2, 3, 4]));
-        let mut m = Machine::new(cfg, &program);
+        let mut m = board.machine().unwrap();
         m.run(10).unwrap(); // same warmup as the figure generator
         m
     };
@@ -121,21 +110,8 @@ fn fig_3_1_workload_ring_matches_pre_refactor() {
 
 #[test]
 fn fig_3_3_workload_ring_matches_pre_refactor() {
-    let build = || {
-        let mut src = String::new();
-        for s in 0..4 {
-            src.push_str(&format!(".stream {s}, l{s}\n"));
-            src.push_str(&format!(
-                "l{s}:\n    addi r0, r0, 1\n    addi r1, r1, 1\n    addi r2, r2, 1\n    \
-                 addi r3, r3, 1\n    addi r4, r4, 1\n    addi r5, r5, 1\n    jmp l{s}\n"
-            ));
-        }
-        let program = Program::assemble(&src).unwrap();
-        let cfg = MachineConfig::disc1().with_schedule(SchedulePolicy::partitioned(&[8, 3, 3, 2]));
-        let mut m = Machine::new(cfg, &program);
-        m.set_idle_exit(false);
-        m
-    };
+    let board = disc_bench::board("fig_3_3");
+    let build = || board.machine().unwrap();
     // Phase activity changes mid-trace, as in the figure: all four
     // streams run, then stream 0 idles and its slots are reallocated.
     let drive = |m: &mut Machine| {

@@ -253,7 +253,7 @@ impl PeripheralSpec {
 /// A parsed and validated board definition.
 ///
 /// Obtain one with [`Board::parse`]; turn it into a machine with
-/// [`FromBoard::from_board`] (or [`Board::machine`]).
+/// [`Board::machine`].
 #[derive(Debug, Clone)]
 pub struct Board {
     /// Board name (root-level `name` key; defaults to `"board"`).
@@ -343,8 +343,8 @@ impl Board {
 
     /// Whether this board needs an explicit [`PeripheralBus`] (it maps
     /// peripherals or injects faults). Boards that don't use the
-    /// machine's built-in flat external memory, exactly like the
-    /// hard-coded example machines they mirror.
+    /// machine's built-in flat external memory, as a machine built with
+    /// `Machine::new` does.
     pub fn has_custom_bus(&self) -> bool {
         !self.peripherals.is_empty() || self.fault_plan.is_some()
     }
@@ -404,8 +404,7 @@ impl Board {
     }
 
     /// Builds the machine: config, assembled program, wired bus, fault
-    /// plan and idle-exit override. Equivalent to
-    /// [`FromBoard::from_board`].
+    /// plan and idle-exit override.
     ///
     /// # Errors
     ///
@@ -440,42 +439,6 @@ impl Board {
             machine.set_idle_exit(idle_exit);
         }
         Ok(machine)
-    }
-}
-
-/// Construction of a simulator artifact from a [`Board`].
-pub trait FromBoard: Sized {
-    /// Builds `Self` as the board describes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoardError`] when the board is unusable for this
-    /// artifact (e.g. a machine needs a `[program]` section).
-    fn from_board(board: &Board) -> Result<Self, BoardError>;
-
-    /// [`FromBoard::from_board`] with explicit step/dispatch modes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FromBoard::from_board`].
-    fn from_board_with_modes(
-        board: &Board,
-        step: StepMode,
-        dispatch: DispatchMode,
-    ) -> Result<Self, BoardError>;
-}
-
-impl FromBoard for Machine {
-    fn from_board(board: &Board) -> Result<Self, BoardError> {
-        board.machine()
-    }
-
-    fn from_board_with_modes(
-        board: &Board,
-        step: StepMode,
-        dispatch: DispatchMode,
-    ) -> Result<Self, BoardError> {
-        board.machine_with_modes(step, dispatch)
     }
 }
 

@@ -5,19 +5,19 @@
 //! memory map), the program, the peripherals hanging off the
 //! asynchronous data bus with their individual latencies, and an
 //! optional fault-injection plan. [`Board::parse`] validates the
-//! document with line/field error context; [`FromBoard::from_board`]
-//! (implemented for [`disc_core::Machine`]) wires everything together.
+//! document with line/field error context; [`Board::machine`] wires
+//! everything together into a [`disc_core::Machine`].
 //!
-//! The committed boards under `boards/` mirror the hard-coded example
-//! machines byte-for-byte — the board-differential suite pins that — so
-//! an experiment can move from Rust code to a reviewable text file
-//! without changing a single simulated cycle.
+//! The committed boards under `boards/` are the only definition of the
+//! repository's canonical machines: the paper-figure machines and the
+//! bench workloads. The figure renderers, the bench gate, the profiling
+//! harness, the benchmark and the equivalence suites all build them from
+//! those files.
 //!
 //! # Example
 //!
 //! ```
-//! use disc_board::{Board, FromBoard};
-//! use disc_core::Machine;
+//! use disc_board::Board;
 //!
 //! let board = Board::parse(
 //!     r#"
@@ -45,7 +45,7 @@
 //! irq_bit = 5
 //! "#,
 //! )?;
-//! let mut machine = Machine::from_board(&board)?;
+//! let mut machine = board.machine()?;
 //! machine.run(200);
 //! assert!(machine.stats().cycles >= 200);
 //! # Ok::<(), disc_board::BoardError>(())
@@ -54,6 +54,4 @@
 mod board;
 mod toml;
 
-pub use board::{
-    Board, BoardError, FromBoard, IrqLine, PeripheralKind, PeripheralSpec, MAX_LATENCY,
-};
+pub use board::{Board, BoardError, IrqLine, PeripheralKind, PeripheralSpec, MAX_LATENCY};

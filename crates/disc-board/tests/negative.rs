@@ -4,8 +4,7 @@
 //! (the session server, the soak driver, CI) can surface actionable
 //! diagnostics and so refactors cannot silently degrade them.
 
-use disc_board::{Board, FromBoard};
-use disc_core::Machine;
+use disc_board::Board;
 
 fn parse_err(text: &str) -> String {
     Board::parse(text)
@@ -194,9 +193,7 @@ fn syntax_errors_carry_line_context() {
 #[test]
 fn machine_without_program_reports_missing_section() {
     let board = Board::parse("[machine]\nstreams = 1\n").unwrap();
-    let msg = Machine::from_board(&board)
-        .expect_err("no program")
-        .to_string();
+    let msg = board.machine().expect_err("no program").to_string();
     assert_eq!(
         msg,
         "program: board has no [program] section but a program is required here"
@@ -213,9 +210,7 @@ fn assembly_errors_surface_through_board_error() {
          \"\"\"\n",
     )
     .unwrap();
-    let msg = Machine::from_board(&board)
-        .expect_err("bad asm")
-        .to_string();
+    let msg = board.machine().expect_err("bad asm").to_string();
     assert!(
         msg.starts_with("line 1: program.source: assembly failed:"),
         "{msg}"

@@ -1,6 +1,6 @@
 //! Execution statistics collected by the machine.
 
-use disc_snap::{SnapError, SnapReader, SnapWriter};
+use disc_snap::{splitmix64, SnapError, SnapReader, SnapWriter};
 
 /// Maximum number of individual latency samples retained for percentile
 /// reporting. Runs with more recorded interrupts keep a uniform reservoir
@@ -21,14 +21,6 @@ pub struct IrqLatencyStats {
     sum: u64,
     max: Option<u64>,
     samples: Vec<u64>,
-}
-
-/// SplitMix64 mix — deterministic hash used for reservoir replacement.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl IrqLatencyStats {

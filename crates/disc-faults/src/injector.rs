@@ -3,6 +3,7 @@
 use std::sync::{Arc, Mutex};
 
 use disc_core::{DataBus, IrqRequest};
+use disc_snap::splitmix64;
 
 use crate::plan::{FaultKind, FaultPlan};
 
@@ -64,18 +65,11 @@ impl FaultLogHandle {
     }
 }
 
-/// Deterministic 64-bit mixer (splitmix64 finalizer). Every probabilistic
-/// decision hashes `(seed, fault index, cycle, address/key)` through this,
-/// so outcomes depend only on the plan and the cycle-accurate access
-/// pattern — never on host RNG state or call ordering.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// `true` with probability `p` as a pure function of the inputs.
+/// `true` with probability `p` as a pure function of the inputs: every
+/// probabilistic decision hashes `(seed, fault index, cycle,
+/// address/key)` through splitmix64, so outcomes depend only on the plan
+/// and the cycle-accurate access pattern, never on host RNG state or call
+/// ordering.
 fn chance(seed: u64, fault: usize, cycle: u64, key: u64, p: f64) -> bool {
     if p <= 0.0 {
         return false;
@@ -83,10 +77,11 @@ fn chance(seed: u64, fault: usize, cycle: u64, key: u64, p: f64) -> bool {
     if p >= 1.0 {
         return true;
     }
-    let h = mix(seed
-        ^ (fault as u64).wrapping_mul(0xd6e8_feb8_6659_fd93)
-        ^ cycle.wrapping_mul(0xa076_1d64_78bd_642f)
-        ^ key.wrapping_mul(0xe703_7ed1_a0b4_28db));
+    let h = splitmix64(
+        seed ^ (fault as u64).wrapping_mul(0xd6e8_feb8_6659_fd93)
+            ^ cycle.wrapping_mul(0xa076_1d64_78bd_642f)
+            ^ key.wrapping_mul(0xe703_7ed1_a0b4_28db),
+    );
     (h as f64) < p * (u64::MAX as f64)
 }
 
@@ -597,7 +592,7 @@ mod tests {
     #[test]
     fn mix_is_a_bijective_scramble() {
         // Sanity: distinct inputs stay distinct and outputs look spread.
-        let outs: Vec<u64> = (0..4).map(mix).collect();
+        let outs: Vec<u64> = (0..4).map(splitmix64).collect();
         for i in 0..outs.len() {
             for j in i + 1..outs.len() {
                 assert_ne!(outs[i], outs[j]);
