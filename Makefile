@@ -83,8 +83,10 @@ serve-smoke:
 # Differential fuzzing against the disc-ref golden-reference interpreter
 # (see EXPERIMENTS.md "Conformance fuzzing"). `fuzz` replays the
 # regression corpus plus 1000 fixed seeds and exits 1 on any divergence;
-# `fuzz-long` runs a 100k-seed campaign. A failing seed is minimized,
-# printed, and replays with
+# `fuzz-long` runs a 100k-seed campaign. Each seed is checked against the
+# reference, then under every step x dispatch combo, fresh from cycle 0
+# and split at a mid-run snapshot. A failing seed is minimized, printed,
+# and replays with
 # `cargo run --release -p disc-bench --bin fuzz -- --no-corpus --seed <seed> --count 1`.
 fuzz:
 	cargo run --release -p disc-bench --bin fuzz -- --seed 0 --count 1000

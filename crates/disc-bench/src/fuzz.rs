@@ -9,11 +9,17 @@
 //! ALU operands; multi-stream programs end in `stop`, never `halt`). Each
 //! program runs on both models — the machine under a randomized
 //! microarchitecture (pipeline depth, window depth, bus latency, sequence
-//! table) and the reference interpreter — and the final architectural
-//! state is compared field by field: per-stream window stacks, AWP, `sp`,
-//! flags, `ir`/`mr`, service state, retired-instruction counts (and, for
-//! programs without cross-stream signals, the exact per-stream retired
-//! program-order), plus globals, internal memory and external memory.
+//! table, board) and the reference interpreter — and the final
+//! architectural state is compared field by field: per-stream window
+//! stacks, AWP, `sp`, flags, `ir`/`mr`, service state, retired-instruction
+//! counts (and, for programs without cross-stream signals, the exact
+//! per-stream retired program-order), plus globals, internal memory and
+//! external memory.
+//!
+//! The same check ([`compare`]) then holds every step × dispatch
+//! combination ([`MODE_COMBOS`]) to that result twice: once run fresh
+//! from cycle 0, and once split at a seed-derived cycle strictly inside
+//! the run, snapshotted, restored into a new machine and run to the end.
 //!
 //! On mismatch, [`minimize`] nops out instructions to a fixed point while
 //! preserving the divergence, so regressions land as one-line seeds plus
@@ -21,9 +27,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 
-use crate::replay::ReplayLog;
 use disc_board::Board;
 use disc_core::{
     CycleRecord, DispatchMode, Exit, Machine, MachineConfig, SchedulePolicy, StepMode, TraceEvent,
@@ -83,7 +87,8 @@ impl SplitMix64 {
 }
 
 /// A generated program plus the microarchitecture it should run under and
-/// the comparison mode it supports.
+/// the comparison mode it supports. The step and dispatch modes are not
+/// knobs: [`compare`] runs every combination.
 #[derive(Debug, Clone)]
 pub struct GenProgram {
     /// Seed that produced it.
@@ -105,24 +110,13 @@ pub struct GenProgram {
     /// Random 16-slot sequence table, or `None` for round-robin
     /// (architecturally invisible).
     pub schedule: Option<Vec<u8>>,
-    /// Timing mode for the machine run (architecturally invisible). When
-    /// [`StepMode::EventSkip`] is drawn, the runner additionally executes
-    /// a second, sink-free machine where quiescence skipping can actually
-    /// engage (the retire-log sink pins it off on the primary machine)
-    /// and requires its final state and statistics to be identical.
-    pub step_mode: StepMode,
-    /// Execute dispatcher for the machine run (architecturally
-    /// invisible). Like the step mode, [`DispatchMode::Superblock`] only
-    /// engages on the sink-free cross-check machine — the retire-log sink
-    /// pins burst execution off on the primary machine.
-    pub dispatch_mode: DispatchMode,
     /// External address ranges `[lo, hi)` the program may touch, for the
     /// external-memory comparison sweep.
     pub ext_regions: Vec<(u16, u16)>,
     /// Board document backing the run, or `None` for the machine's
     /// built-in flat external memory (architecturally invisible). When
-    /// drawn, every machine the runner builds — primary, sink-free
-    /// cross-check, and each mode fork — gets the board's peripheral
+    /// drawn, every machine the runner builds — the base run and each
+    /// combo's fresh and split runs — gets the board's peripheral
     /// bus: external RAM covering both per-stream data bands at the
     /// drawn latency, plus up to two decorative IRQ-less devices that
     /// perturb event-skip horizons and bus arbitration without touching
@@ -704,21 +698,13 @@ pub fn generate(seed: u64) -> GenProgram {
     let pipeline_depth = rng.range(3, 6) as usize;
     let window_depth = rng.pick(&[12usize, 16, 64]);
     let ext_latency = rng.below(4) as u32;
-    let step_mode = if rng.chance(50) {
-        StepMode::EventSkip
-    } else {
-        StepMode::CycleByCycle
-    };
-    // Drawn after every pre-existing knob so older corpus seeds keep
-    // generating the exact same programs and configurations.
-    let dispatch_mode = if rng.chance(50) {
-        DispatchMode::Superblock
-    } else {
-        DispatchMode::Legacy
-    };
-    // Drawn after the dispatch mode, for the same reason. A board can
-    // only express mapped latencies of at least one cycle, so seeds that
-    // drew latency 0 always keep the flat bus.
+    // Two retired draws: the generator once picked a step mode and a
+    // dispatch mode here. Consuming them keeps every later draw, and so
+    // every corpus seed, generating the same program and board.
+    rng.next_u64();
+    rng.next_u64();
+    // A board can only express mapped latencies of at least one cycle, so
+    // seeds that drew latency 0 always keep the flat bus.
     let board = if ext_latency >= 1 && rng.chance(35) {
         Some(gen_board(&mut rng, streams, ext_latency))
     } else {
@@ -733,8 +719,6 @@ pub fn generate(seed: u64) -> GenProgram {
         window_depth,
         ext_latency,
         schedule,
-        step_mode,
-        dispatch_mode,
         ext_regions,
         board,
     }
@@ -836,13 +820,21 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-fn machine_config(gp: &GenProgram) -> MachineConfig {
+/// Every step-mode × dispatch-mode combination the machine supports.
+pub const MODE_COMBOS: [(StepMode, DispatchMode); 4] = [
+    (StepMode::CycleByCycle, DispatchMode::Legacy),
+    (StepMode::CycleByCycle, DispatchMode::Superblock),
+    (StepMode::EventSkip, DispatchMode::Legacy),
+    (StepMode::EventSkip, DispatchMode::Superblock),
+];
+
+fn machine_config(gp: &GenProgram, step: StepMode, dispatch: DispatchMode) -> MachineConfig {
     let mut cfg = MachineConfig::disc1()
         .with_streams(gp.streams)
         .with_window_depth(gp.window_depth)
         .with_default_ext_latency(gp.ext_latency)
-        .with_step_mode(gp.step_mode)
-        .with_dispatch_mode(gp.dispatch_mode);
+        .with_step_mode(step)
+        .with_dispatch_mode(dispatch);
     cfg.pipeline_depth = gp.pipeline_depth;
     if let Some(table) = &gp.schedule {
         cfg = cfg.with_schedule(SchedulePolicy::Sequence(table.clone()));
@@ -873,17 +865,48 @@ pub fn build_machine(gp: &GenProgram, cfg: MachineConfig) -> Machine {
     }
 }
 
-/// Runs `gp` on both models under the given budgets and compares the
-/// final architectural state. `Ok(steps)` reports the instructions the
-/// reference model executed.
+/// What one passing test case covered.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Coverage {
+    /// Instructions the reference interpreter executed.
+    pub steps: u64,
+    /// Cycles the base machine ran.
+    pub cycles: u64,
+    /// Cycles each [`MODE_COMBOS`] entry ran after restoring its mid-run
+    /// snapshot (all zero for a run under two cycles, which has no cycle
+    /// strictly inside it to split at).
+    pub tail_cycles: [u64; MODE_COMBOS.len()],
+}
+
+/// The cycle `gp.seed`'s split runs snapshot at: in `1..cycles`, so both
+/// halves of a run of `cycles` cycles execute at least one cycle.
+fn split_point(seed: u64, cycles: u64) -> Option<u64> {
+    (cycles >= 2).then(|| 1 + splitmix64(seed) % (cycles - 1))
+}
+
+/// Runs `gp` on both models under the given budgets and compares them.
+///
+/// 1. **Base vs reference.** A cycle-by-cycle, legacy-dispatch machine
+///    with a retire-log sink runs to completion; its exit, retire order
+///    and final architectural state must match the `disc-ref`
+///    interpreter's.
+/// 2. **Fresh runs.** For each [`MODE_COMBOS`] entry, a new sink-free
+///    machine (so event skip and superblock bursts can engage) runs from
+///    cycle 0 and must reach the base's exit and final state, statistics
+///    included ([`diff_machines`]).
+/// 3. **Split runs.** For each combo, a machine runs to a seed-derived
+///    cycle strictly inside the base run, is snapshotted and restored
+///    into a new machine of the same combo, which runs to the end; its
+///    exit and final snapshot bytes must equal the fresh run's.
 pub fn compare_with_budget(
     gp: &GenProgram,
     machine_cycles: u64,
     ref_steps: u64,
-) -> Result<u64, Divergence> {
+) -> Result<Coverage, Divergence> {
     let mut details = Vec::new();
 
-    let mut machine = build_machine(gp, machine_config(gp));
+    let base_cfg = machine_config(gp, StepMode::CycleByCycle, DispatchMode::Legacy);
+    let mut machine = build_machine(gp, base_cfg);
     machine.set_trace_sink(Box::new(RetireLog {
         per_stream: vec![Vec::new(); gp.streams],
     }));
@@ -892,19 +915,7 @@ pub fn compare_with_budget(
         .take_trace_sink()
         .and_then(|sink| sink.into_any().downcast::<RetireLog>().ok())
         .expect("retire log sink");
-
-    // When the timing knob drew EventSkip or the dispatch knob drew
-    // Superblock, the primary machine above had both fast paths pinned
-    // off by its trace sink; run a second, sink-free machine where they
-    // can engage and hold it to the same exit, statistics (including
-    // cycle attribution) and final state.
-    let cross_check =
-        gp.step_mode == StepMode::EventSkip || gp.dispatch_mode == DispatchMode::Superblock;
-    let skipper = cross_check.then(|| {
-        let mut skipper = build_machine(gp, machine_config(gp));
-        let exit = skipper.run(machine_cycles);
-        (skipper, exit)
-    });
+    let cycles = machine.cycle();
 
     let mut reference = RefMachine::new(ref_config(gp), &gp.program);
     let r_exit = reference.run(ref_steps);
@@ -927,6 +938,7 @@ pub fn compare_with_budget(
     }
 
     let ext_addrs = ext_addr_set(gp, &reference);
+    let internal_len = reference.internal_len() as u16;
     diff_against_reference(
         &mut machine,
         &retire_log,
@@ -936,27 +948,61 @@ pub fn compare_with_budget(
         &mut details,
     );
 
-    // Sink-free cross-check (event skip and/or superblock dispatch
-    // engaged): must be indistinguishable from the pinned run.
-    if let Some((mut skipper, s_exit)) = skipper {
-        if s_exit != m_exit {
+    let split_at = split_point(gp.seed, cycles);
+    let mut tail_cycles = [0; MODE_COMBOS.len()];
+    for ((step, dispatch), tail) in MODE_COMBOS.into_iter().zip(&mut tail_cycles) {
+        let cfg = machine_config(gp, step, dispatch);
+        let mut fresh = build_machine(gp, cfg.clone());
+        let f_exit = fresh.run(machine_cycles);
+        if f_exit != m_exit {
             details.push(format!(
-                "sink-free: exit {s_exit:?} vs cycle-by-cycle {m_exit:?}"
+                "{step:?}/{dispatch:?} fresh: exit {f_exit:?} vs base {m_exit:?}"
             ));
         }
+        if let Some(at) = split_at {
+            let label = format!("{step:?}/{dispatch:?} split at cycle {at}");
+            let mut head = build_machine(gp, cfg.clone());
+            let head_exit = head.run(at);
+            let mut restored = build_machine(gp, cfg);
+            if head_exit != Ok(Exit::CycleLimit) || head.cycle() != at {
+                details.push(format!(
+                    "{label}: head run ended {head_exit:?} at cycle {}",
+                    head.cycle()
+                ));
+            } else if let Err(e) = restored.restore(&head.snapshot()) {
+                details.push(format!("{label}: restore failed: {e}"));
+            } else {
+                let s_exit = restored.run(machine_cycles - at);
+                *tail = restored.cycle() - at;
+                if s_exit != f_exit {
+                    details.push(format!("{label}: exit {s_exit:?} vs fresh {f_exit:?}"));
+                }
+                // Before `diff_machines`, whose bus reads move
+                // snapshot-visible state.
+                if restored.snapshot() != fresh.snapshot() {
+                    details.push(format!(
+                        "{label}: final snapshot differs from the fresh run's"
+                    ));
+                }
+            }
+        }
         diff_machines(
-            "sink-free",
+            &format!("{step:?}/{dispatch:?} fresh"),
             &mut machine,
-            &mut skipper,
+            &mut fresh,
             gp.streams,
-            reference.internal_len() as u16,
+            internal_len,
             &ext_addrs,
             &mut details,
         );
     }
 
     if details.is_empty() {
-        Ok(steps)
+        Ok(Coverage {
+            steps,
+            cycles,
+            tail_cycles,
+        })
     } else {
         Err(Divergence {
             seed: gp.seed,
@@ -965,14 +1011,56 @@ pub fn compare_with_budget(
     }
 }
 
-/// Runs `gp` with the default budgets.
-pub fn compare(gp: &GenProgram) -> Result<u64, Divergence> {
-    compare_with_budget(gp, MACHINE_CYCLES, REF_STEPS)
+/// Runs `gp` with the default budgets. A panic inside the check is
+/// caught and reported as a divergence, so one bad seed neither aborts a
+/// campaign nor escapes the minimizer.
+pub fn compare(gp: &GenProgram) -> Result<Coverage, Divergence> {
+    std::panic::catch_unwind(|| compare_with_budget(gp, MACHINE_CYCLES, REF_STEPS)).unwrap_or_else(
+        |panic| {
+            let msg = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            Err(Divergence {
+                seed: gp.seed,
+                details: vec![format!("panicked: {msg}")],
+            })
+        },
+    )
 }
 
 /// Generates and compares one seed.
-pub fn check_seed(seed: u64) -> Result<u64, Divergence> {
+pub fn check_seed(seed: u64) -> Result<Coverage, Divergence> {
     compare(&generate(seed))
+}
+
+/// Parses one seed: decimal, or hex with a `0x` prefix.
+///
+/// # Errors
+///
+/// Returns the parse error for anything else.
+pub fn parse_seed(text: &str) -> Result<u64, std::num::ParseIntError> {
+    match text.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => text.parse(),
+    }
+}
+
+/// Parses a regression corpus such as `fuzz/regressions.txt`: one seed
+/// per line (see [`parse_seed`]); `#` starts a comment and blank lines
+/// are skipped.
+///
+/// # Errors
+///
+/// Names the first line that holds something other than a seed.
+pub fn corpus_seeds(text: &str) -> Result<Vec<u64>, String> {
+    text.lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line.split('#').next().unwrap_or("").trim()))
+        .filter(|(_, entry)| !entry.is_empty())
+        .map(|(n, entry)| parse_seed(entry).map_err(|e| format!("line {n}: {entry:?}: {e}")))
+        .collect()
 }
 
 /// Every external address either model may have touched.
@@ -1127,6 +1215,10 @@ fn diff_against_reference(
 /// globals, internal and touched external memory. Mismatches append to
 /// `details`, prefixed with `label`; the second machine of each reported
 /// pair is `expected`.
+///
+/// External memory is read through each machine's bus (`bus_mut().read`),
+/// which can move bus state that a snapshot includes. A caller that also
+/// compares snapshot bytes must take them before calling this.
 pub fn diff_machines(
     label: &str,
     expected: &mut Machine,
@@ -1204,315 +1296,6 @@ pub fn diff_machines(
             details.push(format!("{label}: external[{addr:#x}] diverges"));
         }
     }
-}
-
-// ---- fork-based mode coverage -------------------------------------------
-
-/// Cycles the shared warm-up phase runs before the fork snapshot is
-/// taken. Small on purpose: generated programs are short, and the forks
-/// must re-execute most of each program under their own timing modes for
-/// the coverage to mean anything.
-pub const WARM_CYCLES: u64 = 256;
-
-/// Every step-mode × dispatch-mode combination the machine supports.
-pub const MODE_COMBOS: [(StepMode, DispatchMode); 4] = [
-    (StepMode::CycleByCycle, DispatchMode::Legacy),
-    (StepMode::CycleByCycle, DispatchMode::Superblock),
-    (StepMode::EventSkip, DispatchMode::Legacy),
-    (StepMode::EventSkip, DispatchMode::Superblock),
-];
-
-/// A fork-mode fuzz failure: the divergence plus everything needed to
-/// reproduce it without re-running the campaign — the generated program
-/// and its knobs, the warm-point snapshot the forks started from, and the
-/// base machine's final state for a one-invocation `replay` check.
-#[derive(Debug)]
-pub struct ForkFailure {
-    /// What differed, per [`compare_with_budget`]'s conventions.
-    pub divergence: Divergence,
-    /// The generated test case (program image + microarchitecture knobs).
-    pub gp: GenProgram,
-    /// Snapshot at the shared warm point (the "pre-divergence" state).
-    pub snapshot: Vec<u8>,
-    /// Cycle the base machine finished at.
-    pub end_cycle: u64,
-    /// The base machine's final snapshot.
-    pub final_snapshot: Vec<u8>,
-}
-
-fn fork_failure(
-    gp: &GenProgram,
-    details: Vec<String>,
-    snapshot: Vec<u8>,
-    machine: &Machine,
-) -> Box<ForkFailure> {
-    Box::new(ForkFailure {
-        divergence: Divergence {
-            seed: gp.seed,
-            details,
-        },
-        gp: gp.clone(),
-        snapshot,
-        end_cycle: machine.stats().cycles,
-        final_snapshot: machine.snapshot(),
-    })
-}
-
-/// Fork-based differential check: generates and warms up **once** per
-/// seed, snapshots, and forks a machine per [`MODE_COMBOS`] entry from
-/// the shared warm point instead of re-executing every mode from cold.
-///
-/// The base machine (pinned cycle-by-cycle, legacy dispatch, retire-log
-/// sink) runs to completion and is compared field by field against the
-/// `disc-ref` interpreter exactly like [`compare_with_budget`]; each fork
-/// then runs only the post-snapshot tail under its own timing mode and
-/// must land on the identical final state and statistics. The
-/// `(CycleByCycle, Legacy)` fork doubles as a restore-fidelity check —
-/// it re-executes the base tail from the snapshot and must agree.
-pub fn compare_forked(gp: &GenProgram) -> Result<u64, Box<ForkFailure>> {
-    let mut details = Vec::new();
-
-    let base_cfg = machine_config(gp)
-        .with_step_mode(StepMode::CycleByCycle)
-        .with_dispatch_mode(DispatchMode::Legacy);
-    let mut machine = build_machine(gp, base_cfg);
-    machine.set_trace_sink(Box::new(RetireLog {
-        per_stream: vec![Vec::new(); gp.streams],
-    }));
-    let warm_exit = machine.run(WARM_CYCLES.min(MACHINE_CYCLES));
-    let snapshot = machine.snapshot();
-    let m_exit = match warm_exit {
-        Ok(Exit::CycleLimit) => machine.run(MACHINE_CYCLES - WARM_CYCLES.min(MACHINE_CYCLES)),
-        other => other,
-    };
-    let retire_log = machine
-        .take_trace_sink()
-        .and_then(|sink| sink.into_any().downcast::<RetireLog>().ok())
-        .expect("retire log sink");
-
-    let mut reference = RefMachine::new(ref_config(gp), &gp.program);
-    let r_exit = reference.run(REF_STEPS);
-    let steps = reference.steps();
-
-    let exits_match = matches!(
-        (&m_exit, r_exit),
-        (Ok(Exit::Halted), RefExit::Halted) | (Ok(Exit::AllIdle), RefExit::AllIdle)
-    );
-    if !exits_match {
-        details.push(format!(
-            "exit status: machine {m_exit:?} vs reference {r_exit:?}"
-        ));
-        return Err(fork_failure(gp, details, snapshot, &machine));
-    }
-
-    let ext_addrs = ext_addr_set(gp, &reference);
-    diff_against_reference(
-        &mut machine,
-        &retire_log,
-        &reference,
-        gp,
-        &ext_addrs,
-        &mut details,
-    );
-
-    for (step, dispatch) in MODE_COMBOS {
-        let cfg = machine_config(gp)
-            .with_step_mode(step)
-            .with_dispatch_mode(dispatch);
-        let mut fork = build_machine(gp, cfg);
-        if let Err(e) = fork.restore(&snapshot) {
-            details.push(format!("fork {step:?}/{dispatch:?}: restore failed: {e}"));
-            continue;
-        }
-        let f_exit = fork.run(MACHINE_CYCLES);
-        if f_exit != m_exit {
-            details.push(format!(
-                "fork {step:?}/{dispatch:?}: exit {f_exit:?} vs base {m_exit:?}"
-            ));
-        }
-        diff_machines(
-            &format!("fork {step:?}/{dispatch:?}"),
-            &mut machine,
-            &mut fork,
-            gp.streams,
-            reference.internal_len() as u16,
-            &ext_addrs,
-            &mut details,
-        );
-    }
-
-    if details.is_empty() {
-        Ok(steps)
-    } else {
-        Err(fork_failure(gp, details, snapshot, &machine))
-    }
-}
-
-/// Generates and fork-checks one seed.
-///
-/// # Errors
-///
-/// Returns the [`ForkFailure`] when any mode combo or the reference
-/// comparison diverges.
-pub fn fork_check_seed(seed: u64) -> Result<u64, Box<ForkFailure>> {
-    compare_forked(&generate(seed))
-}
-
-/// Writes a crash-artifact pair for a fork-mode failure into `dir`:
-/// `seed-<hex>.replay`, a `disc-replay/v1` log whose starting snapshot is
-/// the pre-divergence warm point (so the failure reproduces in one
-/// `replay` invocation), and `seed-<hex>.txt` with the seed, every
-/// generator knob and the divergence details. Returns the path stem.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from creating `dir` or writing the files.
-pub fn write_artifact(dir: &Path, failure: &ForkFailure) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let gp = &failure.gp;
-    let stem = dir.join(format!("seed-{:016x}", failure.divergence.seed));
-    // A `.replay` log only reproduces on the flat default bus: `replay`
-    // rebuilds the machine from config + program alone, and a snapshot
-    // taken on a board's peripheral bus refuses to restore there. Board
-    // cases get the board document on disk instead; the seed regenerates
-    // the full case either way.
-    if gp.board.is_none() {
-        let log = ReplayLog {
-            config: machine_config(gp)
-                .with_step_mode(StepMode::CycleByCycle)
-                .with_dispatch_mode(DispatchMode::Legacy),
-            program: gp.program.clone(),
-            start: failure.snapshot.clone(),
-            events: Vec::new(),
-            end_cycle: failure.end_cycle,
-            final_snapshot: failure.final_snapshot.clone(),
-        };
-        std::fs::write(stem.with_extension("replay"), log.save())?;
-    }
-    if let Some(board) = &gp.board {
-        std::fs::write(stem.with_extension("board"), board)?;
-    }
-
-    let mut txt = String::new();
-    let _ = writeln!(txt, "seed: {:#x}", gp.seed);
-    let _ = writeln!(
-        txt,
-        "streams: {} (exact retire-order comparison: {})",
-        gp.streams, gp.exact
-    );
-    let _ = writeln!(
-        txt,
-        "pipeline_depth: {}  window_depth: {}  ext_latency: {}",
-        gp.pipeline_depth, gp.window_depth, gp.ext_latency
-    );
-    let _ = writeln!(txt, "schedule: {:?}", gp.schedule);
-    let _ = writeln!(
-        txt,
-        "drawn step_mode: {:?}  dispatch_mode: {:?}",
-        gp.step_mode, gp.dispatch_mode
-    );
-    let _ = writeln!(
-        txt,
-        "board: {}",
-        match &gp.board {
-            Some(_) => "drawn (peripheral bus; document in the .board file)",
-            None => "none (flat bus)",
-        }
-    );
-    let _ = writeln!(
-        txt,
-        "warm-point snapshot taken after at most {WARM_CYCLES} cycles; \
-         base machine finished at cycle {}",
-        failure.end_cycle
-    );
-    let _ = writeln!(txt);
-    let _ = write!(txt, "{}", failure.divergence);
-    let _ = writeln!(txt, "\nreproduce:");
-    let _ = writeln!(
-        txt,
-        "  cargo run -p disc-bench --bin fuzz -- --fork --no-corpus --seed {:#x} --count 1",
-        gp.seed
-    );
-    if gp.board.is_none() {
-        let _ = writeln!(
-            txt,
-            "  cargo run -p disc-bench --bin replay -- {}",
-            stem.with_extension("replay").display()
-        );
-    }
-    std::fs::write(stem.with_extension("txt"), txt)?;
-    Ok(stem)
-}
-
-fn write_panic_artifact(dir: &Path, seed: u64, msg: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("seed-{seed:016x}.txt"));
-    std::fs::write(
-        path,
-        format!(
-            "seed: {seed:#x}\nworker panicked: {msg}\n\nreproduce:\n  \
-             cargo run -p disc-bench --bin fuzz -- --fork --no-corpus \
-             --seed {seed:#x} --count 1\n"
-        ),
-    )
-}
-
-/// Fork-mode campaign: like [`run_campaign`], but each seed is checked
-/// through [`fork_check_seed`] — generate and warm up once, fork per mode
-/// combo — and any failure (divergence or worker panic) leaves a crash
-/// artifact in `artifact_dir` via [`write_artifact`]. A panic yields a
-/// knobs-only artifact: no pre-divergence snapshot survives an unwound
-/// worker, but the seed alone regenerates the case.
-pub fn run_campaign_forked(
-    extra_seeds: &[u64],
-    base_seed: u64,
-    count: u64,
-    artifact_dir: Option<&Path>,
-) -> CampaignReport {
-    let mut seeds: Vec<u64> = extra_seeds.to_vec();
-    seeds.extend((0..count).map(|i| base_seed.wrapping_add(i)));
-    let results = disc_par::par_map(seeds, |seed| {
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fork_check_seed(seed)));
-        match outcome {
-            Ok(Ok(steps)) => Ok(steps),
-            Ok(Err(failure)) => {
-                let mut div = failure.divergence.clone();
-                if let Some(dir) = artifact_dir {
-                    match write_artifact(dir, &failure) {
-                        Ok(stem) => div
-                            .details
-                            .push(format!("artifact: {}.replay", stem.display())),
-                        Err(e) => div.details.push(format!("artifact write failed: {e}")),
-                    }
-                }
-                Err(div)
-            }
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<String>()
-                    .map(|s| s.as_str())
-                    .or_else(|| panic.downcast_ref::<&str>().copied())
-                    .unwrap_or("non-string panic payload");
-                let mut details = vec![format!("worker panicked: {msg}")];
-                if let Some(dir) = artifact_dir {
-                    if let Err(e) = write_panic_artifact(dir, seed, msg) {
-                        details.push(format!("artifact write failed: {e}"));
-                    }
-                }
-                Err(Divergence { seed, details })
-            }
-        }
-    });
-    let mut report = CampaignReport::default();
-    for outcome in results {
-        report.programs += 1;
-        match outcome {
-            Ok(steps) => report.instructions += steps,
-            Err(div) => report.divergences.push(div),
-        }
-    }
-    report
 }
 
 // ---- minimization -------------------------------------------------------
@@ -1593,12 +1376,11 @@ impl CampaignReport {
 pub fn run_campaign(extra_seeds: &[u64], base_seed: u64, count: u64) -> CampaignReport {
     let mut seeds: Vec<u64> = extra_seeds.to_vec();
     seeds.extend((0..count).map(|i| base_seed.wrapping_add(i)));
-    let results = disc_par::par_map(seeds, |seed| (seed, check_seed(seed)));
     let mut report = CampaignReport::default();
-    for (_, outcome) in results {
+    for outcome in disc_par::par_map(seeds, check_seed) {
         report.programs += 1;
         match outcome {
-            Ok(steps) => report.instructions += steps,
+            Ok(coverage) => report.instructions += coverage.steps,
             Err(div) => report.divergences.push(div),
         }
     }
@@ -1621,8 +1403,8 @@ mod tests {
     #[test]
     fn generated_programs_terminate_and_match() {
         for seed in 0..40 {
-            let steps = check_seed(seed).unwrap_or_else(|d| panic!("{d}"));
-            assert!(steps > 0, "seed {seed} executed nothing");
+            let coverage = check_seed(seed).unwrap_or_else(|d| panic!("{d}"));
+            assert!(coverage.steps > 0, "seed {seed} executed nothing");
         }
     }
 
@@ -1667,122 +1449,27 @@ mod tests {
     }
 
     #[test]
-    fn fork_mode_matches_on_fresh_seeds() {
-        for seed in 0..24 {
-            let steps = fork_check_seed(seed).unwrap_or_else(|f| panic!("{}", f.divergence));
-            assert!(steps > 0, "seed {seed} executed nothing");
+    fn split_point_lies_strictly_inside_the_run() {
+        assert_eq!(split_point(9, 0), None);
+        assert_eq!(split_point(9, 1), None);
+        assert_eq!(split_point(9, 2), Some(1));
+        for seed in 0..256 {
+            let at = split_point(seed, 100).expect("long enough to split");
+            assert!((1..100).contains(&at), "seed {seed}: split at {at}");
         }
     }
 
     #[test]
-    fn corpus_replays_clean_through_fork_mode() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/fuzz/regressions.txt");
-        let text = std::fs::read_to_string(path).expect("corpus readable");
-        let seeds: Vec<u64> = text
-            .lines()
-            .map(|l| l.split('#').next().unwrap_or("").trim())
-            .filter(|l| !l.is_empty())
-            .map(|l| {
-                l.strip_prefix("0x")
-                    .map(|h| u64::from_str_radix(h, 16))
-                    .unwrap_or_else(|| l.parse())
-                    .expect("corpus seed parses")
-            })
-            .collect();
-        assert!(!seeds.is_empty(), "corpus has seeds");
-        for seed in seeds {
-            fork_check_seed(seed).unwrap_or_else(|f| panic!("corpus: {}", f.divergence));
-        }
+    fn corpus_seeds_reads_comments_hex_and_decimal() {
+        let text = "# header\n\n0x1d   # hex\n42\n  0xB # upper-case hex\n";
+        assert_eq!(corpus_seeds(text), Ok(vec![0x1d, 42, 0xb]));
+        let err = corpus_seeds("7\n0xzz # typo\n").unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 
     #[test]
-    fn artifacts_reproduce_in_one_replay_invocation() {
-        // Manufacture a failure record from a healthy run: the artifact
-        // machinery must work regardless of what the divergence was.
-        // Replay artifacts only exist for flat-bus cases (a board
-        // machine's snapshot cannot restore into the machine `replay`
-        // rebuilds), so pin the board knob off.
-        let mut gp = generate(5);
-        gp.board = None;
-        let cfg = machine_config(&gp)
-            .with_step_mode(StepMode::CycleByCycle)
-            .with_dispatch_mode(DispatchMode::Legacy);
-        let mut m = Machine::new(cfg, &gp.program);
-        let warm_exit = m.run(WARM_CYCLES);
-        let snapshot = m.snapshot();
-        if matches!(warm_exit, Ok(Exit::CycleLimit)) {
-            m.run(MACHINE_CYCLES).expect("base run");
-        }
-        let failure = ForkFailure {
-            divergence: Divergence {
-                seed: gp.seed,
-                details: vec!["synthetic failure for the artifact test".into()],
-            },
-            gp: gp.clone(),
-            snapshot,
-            end_cycle: m.stats().cycles,
-            final_snapshot: m.snapshot(),
-        };
-
-        let dir = std::env::temp_dir().join(format!("disc-fuzz-artifacts-{}", std::process::id()));
-        let stem = write_artifact(&dir, &failure).expect("artifact written");
-
-        let bytes = std::fs::read(stem.with_extension("replay")).expect("replay file exists");
-        let log = ReplayLog::load(&bytes).expect("artifact log loads");
-        let replayed = crate::replay::replay(&log, None).expect("artifact replays");
-        assert_eq!(
-            replayed.snapshot(),
-            log.final_snapshot,
-            "one replay invocation reproduces the recorded run"
-        );
-
-        let notes = std::fs::read_to_string(stem.with_extension("txt")).expect("notes exist");
-        assert!(notes.contains("seed: 0x5"));
-        assert!(notes.contains("--fork"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn board_case_artifacts_carry_the_board_instead_of_a_replay() {
-        // Seed 5 draws a board (pinned by the artifact test above
-        // clearing it); its failure artifact must ship the board
-        // document, and must not ship a `.replay` that could never
-        // restore.
-        let gp = generate(5);
-        let board = gp.board.clone().expect("seed 5 draws a board");
-        let mut m = build_machine(&gp, machine_config(&gp));
-        let warm_exit = m.run(WARM_CYCLES);
-        let snapshot = m.snapshot();
-        if matches!(warm_exit, Ok(Exit::CycleLimit)) {
-            m.run(MACHINE_CYCLES).expect("base run");
-        }
-        let failure = ForkFailure {
-            divergence: Divergence {
-                seed: gp.seed,
-                details: vec!["synthetic failure for the artifact test".into()],
-            },
-            gp: gp.clone(),
-            snapshot,
-            end_cycle: m.stats().cycles,
-            final_snapshot: m.snapshot(),
-        };
-
-        let dir =
-            std::env::temp_dir().join(format!("disc-fuzz-board-artifacts-{}", std::process::id()));
-        let stem = write_artifact(&dir, &failure).expect("artifact written");
-
-        assert!(!stem.with_extension("replay").exists());
-        let written = std::fs::read_to_string(stem.with_extension("board")).expect("board file");
-        assert_eq!(written, board);
-        let notes = std::fs::read_to_string(stem.with_extension("txt")).expect("notes exist");
-        assert!(notes.contains("board: drawn"));
-        assert!(!notes.contains("--bin replay"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn forked_campaign_reports_like_the_plain_one() {
-        let report = run_campaign_forked(&[3], 0, 4, None);
+    fn campaign_runs_extra_seeds_then_the_block() {
+        let report = run_campaign(&[3], 0, 4);
         assert_eq!(report.programs, 5);
         assert!(report.passed(), "divergences: {:?}", report.divergences);
         assert!(report.instructions > 0);

@@ -9,7 +9,6 @@
 pub mod experiments;
 pub mod figures;
 pub mod fuzz;
-pub mod replay;
 
 use disc_board::Board;
 use disc_core::{SkipStats, StepMode};

@@ -7,15 +7,15 @@
 //!
 //! Coverage: the bench workloads (io_bound_2s, interrupt_heavy_3s,
 //! timer_idle_1s), a stuck-peripheral fault plan under the `Fault` bus
-//! policy, a watchdog-bite recovery loop, the fig_* figure workloads, the
-//! differential-fuzz regression corpus with the mode forced on, a seeded
-//! soak campaign, and byte-identical JSONL traces (a per-cycle sink pins
-//! skipping off).
+//! policy, a watchdog-bite recovery loop, the fig_* figure workloads, a
+//! seeded soak campaign, and byte-identical JSONL traces (a per-cycle
+//! sink pins skipping off). Generated programs run under every mode in
+//! the differential fuzzer (`disc_bench::fuzz::compare`).
 
 use std::collections::BTreeSet;
 
 use disc_bench::figures;
-use disc_bench::fuzz::{compare, diff_machines, generate};
+use disc_bench::fuzz::diff_machines;
 use disc_bus::{
     BlockStorage, DmaEngine, ExtRam, PacketPort, PeripheralBus, Shared, Timer, Uart, Watchdog,
 };
@@ -466,33 +466,6 @@ fn fig_workloads_render_identically_across_modes() {
         figures::fig_3_4_with(StepMode::EventSkip),
         "fig 3.4 diverges"
     );
-}
-
-#[test]
-fn fuzz_corpus_identical_across_modes() {
-    // Replay the whole regression corpus with EventSkip forced on: the
-    // differential runner then executes three models per seed — the
-    // sink-pinned machine, a sink-free event-skip machine, and the
-    // golden-reference interpreter — and requires all to agree.
-    let corpus = include_str!("../fuzz/regressions.txt");
-    let mut seeds = 0;
-    for line in corpus.lines() {
-        let entry = line.split('#').next().unwrap_or("").trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let seed = entry
-            .strip_prefix("0x")
-            .map(|h| u64::from_str_radix(h, 16).expect("hex seed"))
-            .unwrap_or_else(|| entry.parse().expect("decimal seed"));
-        let mut gp = generate(seed);
-        gp.step_mode = StepMode::EventSkip;
-        if let Err(div) = compare(&gp) {
-            panic!("corpus seed diverged under event skip:\n{div}");
-        }
-        seeds += 1;
-    }
-    assert!(seeds > 0, "corpus must not be empty");
 }
 
 #[test]

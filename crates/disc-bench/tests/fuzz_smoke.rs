@@ -3,7 +3,7 @@
 //! via `make fuzz` / `make fuzz-long`; this keeps a meaningful slice of
 //! it in `cargo test`.
 
-use disc_bench::fuzz::{check_seed, generate, run_campaign};
+use disc_bench::fuzz::{check_seed, corpus_seeds, generate, run_campaign, MODE_COMBOS};
 
 /// Seeds checked by `cargo test` on every run. The fuzz binary's default
 /// campaign covers 1000; CI runs that too (`make fuzz`).
@@ -11,17 +11,7 @@ const SMOKE_SEEDS: u64 = 200;
 
 #[test]
 fn regression_corpus_stays_green() {
-    let corpus = include_str!("../fuzz/regressions.txt");
-    let seeds: Vec<u64> = corpus
-        .lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim())
-        .filter(|l| !l.is_empty())
-        .map(|l| {
-            l.strip_prefix("0x")
-                .map(|h| u64::from_str_radix(h, 16).expect("hex seed"))
-                .unwrap_or_else(|| l.parse().expect("decimal seed"))
-        })
-        .collect();
+    let seeds = corpus_seeds(include_str!("../fuzz/regressions.txt")).expect("corpus parses");
     assert!(!seeds.is_empty(), "corpus must not be empty");
     for seed in seeds {
         if let Err(div) = check_seed(seed) {
@@ -44,6 +34,24 @@ fn fresh_seed_block_matches() {
     }
 }
 
+/// The split runs must not be vacuous: a snapshot taken after the program
+/// finished would restore a done machine and check nothing.
+#[test]
+fn split_runs_execute_a_tail_in_every_combo() {
+    for seed in 0..SMOKE_SEEDS {
+        let coverage = check_seed(seed).unwrap_or_else(|d| panic!("{d}"));
+        if coverage.cycles < 2 {
+            continue;
+        }
+        for (tail, (step, dispatch)) in coverage.tail_cycles.iter().zip(MODE_COMBOS) {
+            assert!(
+                *tail >= 1,
+                "seed {seed:#x}: {step:?}/{dispatch:?} ran nothing after its restore"
+            );
+        }
+    }
+}
+
 #[test]
 fn microarchitecture_knobs_are_exercised() {
     // The generator must actually vary the timing-only knobs, otherwise
@@ -62,16 +70,6 @@ fn microarchitecture_knobs_are_exercised() {
         "pipeline depths"
     );
     assert!(gps.iter().any(|g| !g.exact), "cross-signal programs");
-    assert!(
-        gps.iter()
-            .any(|g| g.step_mode == disc_core::StepMode::EventSkip),
-        "event-skip runs"
-    );
-    assert!(
-        gps.iter()
-            .any(|g| g.step_mode == disc_core::StepMode::CycleByCycle),
-        "cycle-by-cycle runs"
-    );
     assert!(gps.iter().any(|g| g.board.is_some()), "board-backed runs");
     assert!(gps.iter().any(|g| g.board.is_none()), "flat-bus runs");
     assert!(

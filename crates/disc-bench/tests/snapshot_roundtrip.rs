@@ -1,9 +1,10 @@
 //! Snapshot-roundtrip equivalence suite: for every workload family the
 //! repo measures — the fig_* figure programs, the bench workloads
-//! (io_bound_2s, interrupt_heavy_3s), a stuck-peripheral fault plan, and
-//! the differential-fuzz regression corpus — and for all four
-//! {DispatchMode × StepMode} combinations, a run split at an arbitrary
-//! snapshot point must be **byte-identical** to the uninterrupted run:
+//! (io_bound_2s, interrupt_heavy_3s) and a stuck-peripheral fault plan —
+//! and for all four {DispatchMode × StepMode} combinations, a run split
+//! at an arbitrary snapshot point must be **byte-identical** to the
+//! uninterrupted run (the differential fuzzer holds every generated
+//! program to the same split check, `disc_bench::fuzz::compare`):
 //!
 //! * snapshot → restore into a fresh machine → snapshot reproduces the
 //!   blob exactly (restore is byte-stable), and
@@ -15,10 +16,9 @@
 //!
 //! The second property is the chunk-boundary transparency contract:
 //! where the caller happens to cut its `run` calls (which is exactly
-//! what a snapshot/restore cycle does) must be invisible, or
-//! record-replay could never verify byte-for-byte.
+//! what a snapshot/restore cycle does) must be invisible, or a restored
+//! session could never be verified byte for byte.
 
-use disc_bench::fuzz::generate;
 use disc_bus::{BlockStorage, DmaEngine, ExtRam, PacketPort, PeripheralBus, Shared};
 use disc_core::{
     BusFaultPolicy, DispatchMode, Exit, Machine, MachineConfig, SchedulePolicy, StepMode,
@@ -362,51 +362,4 @@ fn packet_sampler_roundtrips() {
         m.set_idle_exit(false);
         m
     });
-}
-
-#[test]
-fn fuzz_corpus_programs_roundtrip() {
-    // The checked-in regression corpus plus a few fresh seeds: generated
-    // programs cover windows, cross-stream signals, tset, random
-    // schedules and pipeline depths — shapes no hand-written scenario
-    // hits. The generator's own step/dispatch draw is overridden so
-    // every program runs under all four combos.
-    let corpus =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/fuzz/regressions.txt"))
-            .expect("read corpus");
-    let mut seeds: Vec<u64> = corpus
-        .lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim())
-        .filter(|l| !l.is_empty())
-        .map(|l| {
-            l.strip_prefix("0x")
-                .map(|h| u64::from_str_radix(h, 16))
-                .unwrap_or_else(|| l.parse())
-                .expect("corpus seed")
-        })
-        .take(8)
-        .collect();
-    seeds.extend(0..4);
-
-    for seed in seeds {
-        let gp = generate(seed);
-        assert_roundtrip(
-            &format!("fuzz seed {seed:#x}"),
-            10_000,
-            &[],
-            |dispatch, step| {
-                let mut cfg = MachineConfig::disc1()
-                    .with_streams(gp.streams)
-                    .with_window_depth(gp.window_depth)
-                    .with_default_ext_latency(gp.ext_latency)
-                    .with_dispatch_mode(dispatch)
-                    .with_step_mode(step);
-                cfg.pipeline_depth = gp.pipeline_depth;
-                if let Some(table) = &gp.schedule {
-                    cfg = cfg.with_schedule(SchedulePolicy::Sequence(table.clone()));
-                }
-                Machine::new(cfg, &gp.program)
-            },
-        );
-    }
 }

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use disc_bench::fuzz::{compare, diff_machines, generate};
+use disc_bench::fuzz::diff_machines;
 use disc_bus::{BlockStorage, DmaEngine, ExtRam, PacketPort, PeripheralBus, Shared, Timer};
 use disc_core::{BusFaultPolicy, DispatchMode, Machine, MachineConfig, SimError, StepMode};
 use disc_faults::{AddrRange, FaultInjector, FaultPlan, FaultWindow};
@@ -581,45 +581,4 @@ fn sampling_sink_bursts_between_window_boundaries_with_identical_samples() {
         legacy_bytes, burst_bytes,
         "sample bytes diverge across dispatchers"
     );
-}
-
-/// Replay the regression corpus with superblock dispatch forced on: the
-/// differential runner executes the sink-pinned machine, a sink-free
-/// superblock machine, and the golden reference, and requires all three
-/// to agree.
-#[test]
-fn fuzz_corpus_identical_across_dispatchers() {
-    let corpus = include_str!("../fuzz/regressions.txt");
-    let mut seeds = 0;
-    for line in corpus.lines() {
-        let entry = line.split('#').next().unwrap_or("").trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let seed = entry
-            .strip_prefix("0x")
-            .map(|h| u64::from_str_radix(h, 16).expect("hex seed"))
-            .unwrap_or_else(|| entry.parse().expect("decimal seed"));
-        let mut gp = generate(seed);
-        gp.dispatch_mode = DispatchMode::Superblock;
-        if let Err(div) = compare(&gp) {
-            panic!("corpus seed diverged under superblock dispatch:\n{div}");
-        }
-        seeds += 1;
-    }
-    assert!(seeds > 0, "corpus must not be empty");
-}
-
-/// The corpus pins added with the dispatch-mode knob must actually draw
-/// it (they are meaningless as superblock coverage otherwise).
-#[test]
-fn superblock_corpus_pins_draw_the_knob() {
-    for seed in [0x29u64, 0x1b, 0x3f] {
-        let gp = generate(seed);
-        assert_eq!(
-            gp.dispatch_mode,
-            DispatchMode::Superblock,
-            "seed {seed:#x} no longer draws superblock dispatch"
-        );
-    }
 }

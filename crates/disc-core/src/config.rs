@@ -306,120 +306,6 @@ impl MachineConfig {
         h
     }
 
-    /// Serializes the configuration (every field, *including* the
-    /// timing-only step/dispatch modes) into a snapshot writer. Used by
-    /// replay files, which must reconstruct the machine exactly as run.
-    pub fn save_into(&self, w: &mut disc_snap::SnapWriter) {
-        w.put_usize(self.streams);
-        w.put_usize(self.pipeline_depth);
-        match &self.schedule {
-            SchedulePolicy::Sequence(slots) => {
-                w.put_u8(1);
-                w.put_usize(slots.len());
-                for &s in slots {
-                    w.put_u8(s);
-                }
-            }
-            SchedulePolicy::WeightedDeficit(weights) => {
-                w.put_u8(2);
-                w.put_usize(weights.len());
-                for &wt in weights {
-                    w.put_u32(wt);
-                }
-            }
-        }
-        w.put_usize(self.internal_words);
-        w.put_usize(self.window_depth);
-        w.put_u8(match self.window_policy {
-            WindowPolicy::AutoSpill => 1,
-            WindowPolicy::Fault => 2,
-        });
-        w.put_u32(self.default_ext_latency);
-        w.put_u8(match self.bus_fault {
-            BusFaultPolicy::Legacy => 1,
-            BusFaultPolicy::Fault => 2,
-        });
-        w.put_u64(self.abi_timeout);
-        w.put_u8(self.bus_error_bit);
-        w.put_u8(match self.step_mode {
-            StepMode::CycleByCycle => 1,
-            StepMode::EventSkip => 2,
-        });
-        w.put_u8(match self.dispatch_mode {
-            DispatchMode::Superblock => 1,
-            DispatchMode::Legacy => 2,
-        });
-    }
-
-    /// Deserializes a configuration written by [`save_into`](Self::save_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`disc_snap::SnapError`] on truncation or a malformed tag.
-    pub fn restore_from(r: &mut disc_snap::SnapReader<'_>) -> Result<Self, disc_snap::SnapError> {
-        use disc_snap::SnapError;
-        let streams = r.get_usize()?;
-        let pipeline_depth = r.get_usize()?;
-        let schedule = match r.get_u8()? {
-            1 => {
-                let n = r.get_usize()?;
-                let mut slots = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    slots.push(r.get_u8()?);
-                }
-                SchedulePolicy::Sequence(slots)
-            }
-            2 => {
-                let n = r.get_usize()?;
-                let mut weights = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    weights.push(r.get_u32()?);
-                }
-                SchedulePolicy::WeightedDeficit(weights)
-            }
-            t => return Err(SnapError::Corrupt(format!("bad schedule tag {t}"))),
-        };
-        let internal_words = r.get_usize()?;
-        let window_depth = r.get_usize()?;
-        let window_policy = match r.get_u8()? {
-            1 => WindowPolicy::AutoSpill,
-            2 => WindowPolicy::Fault,
-            t => return Err(SnapError::Corrupt(format!("bad window policy tag {t}"))),
-        };
-        let default_ext_latency = r.get_u32()?;
-        let bus_fault = match r.get_u8()? {
-            1 => BusFaultPolicy::Legacy,
-            2 => BusFaultPolicy::Fault,
-            t => return Err(SnapError::Corrupt(format!("bad bus fault tag {t}"))),
-        };
-        let abi_timeout = r.get_u64()?;
-        let bus_error_bit = r.get_u8()?;
-        let step_mode = match r.get_u8()? {
-            1 => StepMode::CycleByCycle,
-            2 => StepMode::EventSkip,
-            t => return Err(SnapError::Corrupt(format!("bad step mode tag {t}"))),
-        };
-        let dispatch_mode = match r.get_u8()? {
-            1 => DispatchMode::Superblock,
-            2 => DispatchMode::Legacy,
-            t => return Err(SnapError::Corrupt(format!("bad dispatch mode tag {t}"))),
-        };
-        Ok(MachineConfig {
-            streams,
-            pipeline_depth,
-            schedule,
-            internal_words,
-            window_depth,
-            window_policy,
-            default_ext_latency,
-            bus_fault,
-            abi_timeout,
-            bus_error_bit,
-            step_mode,
-            dispatch_mode,
-        })
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
@@ -542,23 +428,5 @@ mod tests {
         }
         assert_ne!(base.clone().with_streams(2).fingerprint(), fp);
         assert_ne!(base.clone().with_abi_timeout(9).fingerprint(), fp);
-    }
-
-    #[test]
-    fn config_snapshot_roundtrip() {
-        let c = MachineConfig::disc1()
-            .with_streams(3)
-            .with_schedule(SchedulePolicy::WeightedDeficit(vec![3, 2, 1]))
-            .with_bus_fault(BusFaultPolicy::Fault)
-            .with_abi_timeout(128)
-            .with_step_mode(StepMode::EventSkip)
-            .with_dispatch_mode(DispatchMode::Legacy);
-        let mut w = disc_snap::SnapWriter::new();
-        c.save_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = disc_snap::SnapReader::new(&bytes);
-        let back = MachineConfig::restore_from(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back, c);
     }
 }
