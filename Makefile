@@ -1,6 +1,6 @@
 # Convenience targets for the DISC reproduction.
 
-.PHONY: all test bench-gate profile repro repro-quick soak soak-resume boards-check serve serve-smoke fuzz fuzz-long reports docs clippy examples clean
+.PHONY: all test bench-gate profile repro repro-quick soak boards-check serve serve-smoke fuzz fuzz-long reports docs clippy examples clean
 
 all: test
 
@@ -20,8 +20,7 @@ bench-gate:
 # symbols) and runs it under whichever sampling profiler the machine has
 # (perf, then gprofng), falling back to a plain timed run when neither is
 # installed. `make profile WORKLOAD=branch_heavy_4s CYCLES=20000000`
-# selects the catalog board (any name under boards/) and cycle count;
-# DISC_DISPATCH=legacy profiles the legacy dispatcher instead.
+# selects the catalog board (any name under boards/) and cycle count.
 WORKLOAD ?= compute_bound_4s
 CYCLES ?= 50000000
 profile:
@@ -52,14 +51,6 @@ repro-quick:
 # on any isolation-invariant violation; DISC_JOBS caps the fan-out.
 soak:
 	cargo run --release -p disc-bench --bin soak
-
-# Crash-resumption smoke: SIGKILL a checkpointed soak campaign
-# mid-flight, resume it from its journal, and require the resumed run
-# report to match an uninterrupted baseline byte for byte (wall-clock
-# throughput and resume accounting aside).
-soak-resume:
-	cargo build --release -p disc-bench --bin soak
-	bash scripts/soak_resume_smoke.sh
 
 # Board catalog gate: every committed boards/*.board file must parse,
 # build its machine, and complete a smoke run (see README "Boards" and
@@ -125,5 +116,5 @@ examples:
 # them).
 clean:
 	cargo clean
-	rm -rf results/*.report.json results/ckpt results/soak-resume results/serve-smoke \
+	rm -rf results/*.report.json results/serve-smoke \
 		results/*.trace.jsonl profile.er profile.perf.data

@@ -10,8 +10,6 @@
 //! every 50 cycles, as the benchmark does. Built and driven by
 //! `make profile`.
 
-use disc_core::DispatchMode;
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args
@@ -21,14 +19,10 @@ fn main() {
         .next()
         .map(|c| c.parse().expect("cycles must be an integer"))
         .unwrap_or(50_000_000);
-    let dispatch = match std::env::var("DISC_DISPATCH").as_deref() {
-        Ok("legacy") => DispatchMode::Legacy,
-        _ => DispatchMode::Superblock,
-    };
 
     let board = disc_bench::board(&name);
     let mut m = board
-        .machine_with_modes(board.config.step_mode, dispatch)
+        .machine()
         .unwrap_or_else(|e| panic!("{name}.board builds: {e}"));
     if name == "interrupt_heavy_3s" {
         let mut c = 0;

@@ -7,27 +7,19 @@
 //! `--runs 1 --base-seed <seed>`.
 //!
 //! Usage: `soak [--runs N] [--horizon CYCLES] [--base-seed SEED]
-//! [--step-mode MODE] [--report PATH] [--checkpoint DIR [--resume]]`
+//! [--step-mode MODE] [--report PATH] [--board FILE]`
 //! (worker count follows `DISC_JOBS`). `--report` writes the campaign's
 //! schema-versioned run report JSON to PATH in addition to the stdout
 //! summary. `--step-mode` selects `cycle-by-cycle` (default) or
 //! `event-skip`; the campaign verdict must be identical either way.
-//!
-//! `--checkpoint DIR` journals every completed run to
-//! `DIR/soak.journal` the moment it finishes, making the campaign
-//! crash-resumable: after a `kill -9`, rerunning with `--resume` (same
-//! DIR, same campaign flags) replays the journalled runs from disk,
-//! simulates only the missing ones, and produces a report identical to
-//! an uninterrupted campaign. A journal recorded under different
-//! campaign flags is refused by fingerprint.
 //!
 //! `--board FILE` switches the campaign to a declarative board: each run
 //! reseeds the board's `[[fault]]` plan (`Board::with_fault_seed`) and
 //! drives its `[program]` for the horizon, failing on any simulator
 //! fault; the first seed is re-run at the end and must replay
 //! byte-identically. Board campaigns take `--runs`, `--horizon`,
-//! `--base-seed` and `--step-mode`; the isolation-invariant flags and
-//! checkpointing apply only to the built-in task workload.
+//! `--base-seed` and `--step-mode`; the isolation invariants and
+//! `--report` apply only to the built-in task workload.
 
 use disc_board::Board;
 use disc_core::StepMode;
@@ -153,9 +145,7 @@ fn run_board_campaign(path: &std::path::Path, cfg: &SoakConfig) -> i32 {
 fn main() {
     let mut cfg = SoakConfig::default();
     let mut report_path: Option<std::path::PathBuf> = None;
-    let mut checkpoint: Option<std::path::PathBuf> = None;
     let mut board_path: Option<std::path::PathBuf> = None;
-    let mut resume = false;
     let mut args = std::env::args();
     let _ = args.next();
     while let Some(arg) = args.next() {
@@ -169,13 +159,6 @@ fn main() {
                     .unwrap_or_else(|| panic!("--report needs a path"));
                 report_path = Some(std::path::PathBuf::from(value));
             }
-            "--checkpoint" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--checkpoint needs a directory"));
-                checkpoint = Some(std::path::PathBuf::from(value));
-            }
-            "--resume" => resume = true,
             "--board" => {
                 let value = args
                     .next()
@@ -198,7 +181,7 @@ fn main() {
                 println!(
                     "usage: soak [--runs N] [--horizon CYCLES] [--base-seed SEED] \
                      [--step-mode cycle-by-cycle|event-skip] [--report PATH] \
-                     [--checkpoint DIR [--resume]] [--board FILE]"
+                     [--board FILE]"
                 );
                 return;
             }
@@ -216,44 +199,14 @@ fn main() {
         disc_par::max_jobs().min(cfg.runs.max(1) as usize),
     );
     if let Some(path) = &board_path {
-        if checkpoint.is_some() || resume || report_path.is_some() {
-            eprintln!(
-                "--board campaigns do not support --checkpoint/--resume/--report (try --help)"
-            );
+        if report_path.is_some() {
+            eprintln!("--board campaigns do not support --report (try --help)");
             std::process::exit(2);
         }
         std::process::exit(run_board_campaign(path, &cfg));
     }
-    if resume && checkpoint.is_none() {
-        eprintln!("--resume needs --checkpoint DIR (try --help)");
-        std::process::exit(2);
-    }
     let t0 = std::time::Instant::now();
-    let (report, resumed) = match &checkpoint {
-        Some(dir) => {
-            let path = dir.join("soak.journal");
-            let fingerprint = disc_rts::soak::campaign_fingerprint(&cfg);
-            let journal = if resume {
-                disc_par::Journal::resume(&path, fingerprint)
-            } else {
-                disc_par::Journal::create(&path, fingerprint)
-            }
-            .unwrap_or_else(|e| {
-                eprintln!("soak: {e}");
-                std::process::exit(2);
-            });
-            let (report, stats) = disc_rts::soak::run_campaign_resumable(&cfg, &journal);
-            eprintln!(
-                "checkpoint: {} of {} runs replayed from {}, {} executed",
-                stats.loaded,
-                stats.total,
-                path.display(),
-                stats.executed,
-            );
-            (report, Some((stats, path)))
-        }
-        None => (disc_rts::soak::run_campaign(&cfg), None),
-    };
+    let report = disc_rts::soak::run_campaign(&cfg);
     let wall_secs = t0.elapsed().as_secs_f64();
     print!("{}", report.summary());
     if let Some(path) = report_path {
@@ -262,15 +215,8 @@ fn main() {
                 std::fs::create_dir_all(dir).expect("create report dir");
             }
         }
-        let mut run_report = report.run_report_timed(&cfg, Some(wall_secs));
-        if let Some((stats, journal)) = &resumed {
-            run_report = run_report.with_resume(
-                stats.loaded as u64,
-                stats.executed as u64,
-                &journal.display().to_string(),
-            );
-        }
-        std::fs::write(&path, run_report.render()).expect("write run report");
+        let run_report = report.run_report_timed(&cfg, Some(wall_secs)).render();
+        std::fs::write(&path, run_report).expect("write run report");
         eprintln!("run report written to {}", path.display());
     }
     if !report.passed() {

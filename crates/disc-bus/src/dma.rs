@@ -27,8 +27,8 @@ use crate::bus::Peripheral;
 /// |--------|----------|--------|
 /// | 0 | `SRC` — source bus address, auto-incremented per word | r/w |
 /// | 1 | `DST` — destination bus address, auto-incremented per word | r/w |
-/// | 2 | `COUNT` — words remaining in the transfer | r/w |
-/// | 3 | `CTRL` — write bit0 to start; reads bit0 = busy | r/w |
+/// | 2 | `COUNT` — words remaining in the transfer; writes ignored while busy | r/w |
+/// | 3 | `CTRL` — write bit0 to start (ignored while busy); reads bit0 = busy | r/w |
 /// | 4 | `DONE` — completed transfers | r |
 #[derive(Debug, Clone)]
 pub struct DmaEngine {
@@ -171,7 +171,7 @@ impl Peripheral for DmaEngine {
         match offset {
             0 => self.src = value,
             1 => self.dst = value,
-            2 => self.count = value,
+            2 if !self.busy => self.count = value,
             3 if value & 1 != 0 && !self.busy => self.kick(),
             _ => {}
         }
@@ -305,6 +305,27 @@ mod tests {
         d.tick(&mut irqs);
         assert_eq!(d.take_due_word(), Some((0x10, 0x20)));
         assert_eq!(d.read(4), 1);
+    }
+
+    #[test]
+    fn count_write_while_busy_is_ignored() {
+        let mut d = DmaEngine::new(3);
+        d.start(0x8000, 0x8001, 4);
+        d.write(2, 0);
+        assert_eq!(d.read(2), 4, "COUNT is read-only mid-transfer");
+        let mut irqs = Vec::new();
+        let mut moved = 0;
+        for _ in 0..12 {
+            d.tick(&mut irqs);
+            moved += usize::from(d.take_due_word().is_some());
+        }
+        assert_eq!(moved, 4, "the transfer runs to its programmed length");
+        assert!(!d.busy());
+        assert_eq!(d.stall(), 0);
+        assert_eq!(d.done(), 1);
+        // Idle again, COUNT is writable.
+        d.write(2, 2);
+        assert_eq!(d.read(2), 2);
     }
 
     #[test]

@@ -23,10 +23,11 @@ use crate::json::Json;
 ///
 /// `v2` extends `v1` with an optional `timing` section (step mode,
 /// wall-clock simulation throughput, event-skip statistics). `v3`
-/// extends `v2` with an optional `resume` section (checkpoint journal
-/// accounting for crash-resumed campaigns). Every earlier field is
-/// still present with the same shape, so readers that ignore unknown
-/// sections keep working.
+/// added an optional `resume` section for checkpointed campaigns;
+/// checkpointing has since been removed, so no report emits `resume`
+/// and a v3 report carries only the v2 sections. Every earlier
+/// field is still present with the same shape, so readers that ignore
+/// unknown sections keep working.
 pub const RUN_REPORT_SCHEMA: &str = "disc-run-report/v3";
 
 /// Deterministic 64-bit fingerprint of a machine configuration, rendered
@@ -256,20 +257,6 @@ impl RunReport {
         self.section("timing", timing_json(mode, sim_cycles_per_sec, skip))
     }
 
-    /// Appends the v3 `resume` section: how a crash-resumable campaign's
-    /// shards were satisfied — replayed from a checkpoint journal versus
-    /// executed in this invocation — and where that journal lives.
-    pub fn with_resume(self, shards_loaded: u64, shards_executed: u64, journal: &str) -> Self {
-        self.section(
-            "resume",
-            Json::obj([
-                ("shards_loaded", Json::U64(shards_loaded)),
-                ("shards_executed", Json::U64(shards_executed)),
-                ("journal", Json::str(journal)),
-            ]),
-        )
-    }
-
     /// Captures config, stats, scheduler shares, and timing (step mode
     /// plus skip statistics; throughput null) straight off a finished
     /// machine.
@@ -347,12 +334,9 @@ mod tests {
             .with_stats(&stats)
             .with_scheduler(&[3, 1], 0)
             .with_timing(StepMode::CycleByCycle, Some(1.5e6), &SkipStats::default())
-            .with_resume(3, 7, "results/ckpt/soak.journal")
             .section("extra", Json::U64(7));
         let text = report.render();
         assert!(text.contains("\"schema\": \"disc-run-report/v3\""));
-        assert!(text.contains("\"shards_loaded\": 3"));
-        assert!(text.contains("\"shards_executed\": 7"));
         assert!(text.contains("\"tool\": \"unit-test\""));
         assert!(text.contains("\"fingerprint\""));
         assert!(text.contains("\"attribution\""));

@@ -22,10 +22,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-pub mod checkpoint;
 pub mod pool;
 
-pub use checkpoint::{par_map_resumable, Journal, JournalError, ResumeStats};
 pub use pool::WorkerPool;
 
 thread_local! {

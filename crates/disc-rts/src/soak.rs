@@ -21,8 +21,6 @@
 use disc_core::{BusFaultPolicy, MachineConfig, SimError, SkipStats, StepMode};
 use disc_faults::{AddrRange, FaultInjector, FaultLog, FaultPlan, FaultWindow};
 use disc_obs::{stats_json, Json, RunReport};
-use disc_par::{Journal, ResumeStats};
-use disc_snap::{splitmix64, SnapError, SnapReader, SnapWriter};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -120,112 +118,6 @@ impl SoakRun {
     /// `true` when every invariant held.
     pub fn is_clean(&self) -> bool {
         self.verdict == RunVerdict::Clean
-    }
-
-    /// Serializes the run for the resumable-campaign journal
-    /// ([`run_campaign_resumable`]); [`SoakRun::load_bytes`] inverts it.
-    pub fn save_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.put_u64(self.seed);
-        w.put_usize(self.victim);
-        match &self.verdict {
-            RunVerdict::Clean => w.put_u8(0),
-            RunVerdict::Violations(msgs) => {
-                w.put_u8(1);
-                w.put_usize(msgs.len());
-                for msg in msgs {
-                    w.put_str(msg);
-                }
-            }
-            RunVerdict::SimFault(e) => {
-                w.put_u8(2);
-                match *e {
-                    SimError::Decode { stream, pc, word } => {
-                        w.put_u8(0);
-                        w.put_usize(stream);
-                        w.put_u16(pc);
-                        w.put_u32(word);
-                    }
-                    SimError::UnhandledStackFault { stream } => {
-                        w.put_u8(1);
-                        w.put_usize(stream);
-                    }
-                    SimError::UnhandledBusFault { stream, addr } => {
-                        w.put_u8(2);
-                        w.put_usize(stream);
-                        w.put_u16(addr);
-                    }
-                }
-            }
-        }
-        for (_, count) in self.fault_log.counters() {
-            w.put_u64(count);
-        }
-        w.put_u64(self.bus_faults);
-        w.put_u64(self.abi_timeouts);
-        w.put_u64(self.cycles);
-        w.put_u64(self.skip_stats.skips);
-        w.put_u64(self.skip_stats.cycles_skipped);
-        w.into_bytes()
-    }
-
-    /// Deserializes a journalled run. Errors mean the payload is not a
-    /// [`SoakRun::save_bytes`] image (version drift or corruption); the
-    /// resumable campaign treats that shard as never having run.
-    pub fn load_bytes(bytes: &[u8]) -> Result<SoakRun, SnapError> {
-        let mut r = SnapReader::new(bytes);
-        let seed = r.get_u64()?;
-        let victim = r.get_usize()?;
-        let verdict = match r.get_u8()? {
-            0 => RunVerdict::Clean,
-            1 => {
-                let n = r.get_usize()?;
-                let mut msgs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    msgs.push(r.get_str()?.to_string());
-                }
-                RunVerdict::Violations(msgs)
-            }
-            2 => RunVerdict::SimFault(match r.get_u8()? {
-                0 => SimError::Decode {
-                    stream: r.get_usize()?,
-                    pc: r.get_u16()?,
-                    word: r.get_u32()?,
-                },
-                1 => SimError::UnhandledStackFault {
-                    stream: r.get_usize()?,
-                },
-                2 => SimError::UnhandledBusFault {
-                    stream: r.get_usize()?,
-                    addr: r.get_u16()?,
-                },
-                other => return Err(SnapError::Corrupt(format!("unknown SimError tag {other}"))),
-            }),
-            other => return Err(SnapError::Corrupt(format!("unknown verdict tag {other}"))),
-        };
-        let fault_log = FaultLog {
-            inflated_probes: r.get_u64()?,
-            stuck_probes: r.get_u64()?,
-            blackouts: r.get_u64()?,
-            bit_flips: r.get_u64()?,
-            dropped_irqs: r.get_u64()?,
-            spurious_irqs: r.get_u64()?,
-        };
-        let run = SoakRun {
-            seed,
-            victim,
-            verdict,
-            fault_log,
-            bus_faults: r.get_u64()?,
-            abi_timeouts: r.get_u64()?,
-            cycles: r.get_u64()?,
-            skip_stats: SkipStats {
-                skips: r.get_u64()?,
-                cycles_skipped: r.get_u64()?,
-            },
-        };
-        r.finish()?;
-        Ok(run)
     }
 }
 
@@ -621,66 +513,6 @@ pub fn run_campaign(cfg: &SoakConfig) -> SoakReport {
     SoakReport { runs, reference }
 }
 
-/// Fingerprint identifying a campaign for checkpoint journals: every
-/// [`SoakConfig`] field (including the step mode, whose skip accounting
-/// lands in each [`SoakRun`]) plus the machine-config fingerprint, so a
-/// journal can never resume into a campaign it was not recorded under.
-pub fn campaign_fingerprint(cfg: &SoakConfig) -> u64 {
-    let machine = cfg
-        .machine_config()
-        .with_streams(workload().tasks.len() + 1);
-    let mut h = splitmix64(0x5eed_d15c ^ cfg.base_seed);
-    h = splitmix64(h ^ cfg.runs);
-    h = splitmix64(h ^ cfg.horizon);
-    h = splitmix64(h ^ cfg.abi_timeout);
-    h = splitmix64(h ^ cfg.tolerance.to_bits());
-    h = splitmix64(h ^ cfg.miss_slack);
-    h = splitmix64(h ^ cfg.irq_latency_slack);
-    h = splitmix64(
-        h ^ match cfg.step_mode {
-            StepMode::CycleByCycle => 0,
-            StepMode::EventSkip => 1,
-        },
-    );
-    splitmix64(h ^ machine.fingerprint())
-}
-
-/// [`run_campaign`] with crash resumption: each completed run is
-/// appended to `journal` as it finishes, and runs already journalled
-/// (from a previous, possibly `kill -9`'d, invocation) are replayed
-/// from disk instead of re-simulated. The fault-free reference run is
-/// cheap and pure, so it is recomputed rather than journalled.
-///
-/// The journal must have been opened against [`campaign_fingerprint`]
-/// of the same `cfg` — [`Journal::resume`] enforces that — which makes
-/// the final [`SoakReport`] identical to an uninterrupted
-/// [`run_campaign`] no matter where the previous invocation died.
-///
-/// # Panics
-///
-/// Panics if the fault-free reference run fails or a journal append
-/// fails.
-pub fn run_campaign_resumable(cfg: &SoakConfig, journal: &Journal) -> (SoakReport, ResumeStats) {
-    let set = workload();
-    let reference = run_on_disc_with_bus(
-        &set,
-        cfg.horizon,
-        None,
-        cfg.machine_config(),
-        Box::new(codegen::device_bus(&set)),
-    )
-    .expect("fault-free reference run must succeed");
-    let seeds: Vec<u64> = (0..cfg.runs).map(|i| cfg.base_seed + i).collect();
-    let (runs, resume) = disc_par::par_map_resumable(
-        seeds,
-        journal,
-        |seed| run_one(cfg, &set, seed, &reference),
-        SoakRun::save_bytes,
-        |bytes| SoakRun::load_bytes(bytes).ok(),
-    );
-    (SoakReport { runs, reference }, resume)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -733,123 +565,6 @@ mod tests {
         let a = run_one(&cfg, &set, cfg.base_seed + 3, &reference);
         let b = run_one(&cfg, &set, cfg.base_seed + 3, &reference);
         assert_eq!(a, b);
-    }
-
-    fn tmp_journal(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("disc-soak-journal-{}-{name}", std::process::id()))
-    }
-
-    #[test]
-    fn soak_run_serialization_roundtrips_every_verdict() {
-        let base = SoakRun {
-            seed: 0xabcd,
-            victim: 2,
-            verdict: RunVerdict::Clean,
-            fault_log: FaultLog {
-                inflated_probes: 1,
-                stuck_probes: 2,
-                blackouts: 3,
-                bit_flips: 4,
-                dropped_irqs: 5,
-                spurious_irqs: 6,
-            },
-            bus_faults: 7,
-            abi_timeouts: 8,
-            cycles: 20_000,
-            skip_stats: SkipStats {
-                skips: 9,
-                cycles_skipped: 1_000,
-            },
-        };
-        let verdicts = [
-            RunVerdict::Clean,
-            RunVerdict::Violations(vec!["task ui lost throughput".into(), "leaked".into()]),
-            RunVerdict::SimFault(SimError::Decode {
-                stream: 1,
-                pc: 0x30,
-                word: 0xffffff,
-            }),
-            RunVerdict::SimFault(SimError::UnhandledStackFault { stream: 3 }),
-            RunVerdict::SimFault(SimError::UnhandledBusFault {
-                stream: 2,
-                addr: 0x8004,
-            }),
-        ];
-        for verdict in verdicts {
-            let run = SoakRun {
-                verdict,
-                ..base.clone()
-            };
-            assert_eq!(SoakRun::load_bytes(&run.save_bytes()).unwrap(), run);
-        }
-        // Trailing garbage is corruption, not padding.
-        let mut bytes = base.save_bytes();
-        bytes.push(0);
-        assert!(SoakRun::load_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn interrupted_campaign_resumes_to_the_uninterrupted_report() {
-        let cfg = quick_cfg(4);
-        let baseline = run_campaign(&cfg);
-
-        // Simulate a campaign killed after two shards: journal exactly
-        // the runs for seeds 0 and 2, then resume.
-        let path = tmp_journal("resume");
-        let fpr = campaign_fingerprint(&cfg);
-        let journal = Journal::create(&path, fpr).unwrap();
-        journal.record(0, &baseline.runs[0].save_bytes()).unwrap();
-        journal.record(2, &baseline.runs[2].save_bytes()).unwrap();
-        drop(journal);
-
-        let journal = Journal::resume(&path, fpr).unwrap();
-        let (resumed, stats) = run_campaign_resumable(&cfg, &journal);
-        assert_eq!(stats.total, 4);
-        assert_eq!(stats.loaded, 2);
-        assert_eq!(stats.executed, 2);
-        assert_eq!(resumed, baseline);
-        // The report JSON is identical too, resume section aside.
-        assert_eq!(
-            resumed.run_report(&cfg).render(),
-            baseline.run_report(&cfg).render()
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn campaign_fingerprint_tracks_every_knob() {
-        let cfg = quick_cfg(4);
-        let base = campaign_fingerprint(&cfg);
-        let variants = [
-            SoakConfig {
-                runs: 5,
-                ..cfg.clone()
-            },
-            SoakConfig {
-                horizon: cfg.horizon + 1,
-                ..cfg.clone()
-            },
-            SoakConfig {
-                base_seed: cfg.base_seed + 1,
-                ..cfg.clone()
-            },
-            SoakConfig {
-                step_mode: StepMode::EventSkip,
-                ..cfg.clone()
-            },
-            SoakConfig {
-                tolerance: cfg.tolerance / 2.0,
-                ..cfg.clone()
-            },
-        ];
-        for variant in &variants {
-            assert_ne!(base, campaign_fingerprint(variant), "{variant:?}");
-        }
-        // A journal from a differently configured campaign is refused.
-        let path = tmp_journal("mismatch");
-        Journal::create(&path, base).unwrap();
-        assert!(Journal::resume(&path, campaign_fingerprint(&variants[0])).is_err());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

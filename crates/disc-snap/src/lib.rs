@@ -349,7 +349,7 @@ pub fn read_header(r: &mut SnapReader<'_>) -> Result<SnapHeader, SnapError> {
 }
 
 /// The splitmix64 mixing function — the workspace-standard hash used for
-/// config fingerprints and journal checksums (same constants as the
+/// config fingerprints and byte checksums (same constants as the
 /// `disc-faults` decision hash and the `disc-obs` fingerprint).
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -358,8 +358,8 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Checksum of a byte string, used by the crash-safe shard journal in
-/// `disc-par`: a splitmix64 fold over length and contents.
+/// Checksum of a byte string (the session server's snapshot acks and
+/// report fingerprints): a splitmix64 fold over length and contents.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h = splitmix64(bytes.len() as u64);
     for chunk in bytes.chunks(8) {
