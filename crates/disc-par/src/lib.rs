@@ -17,6 +17,9 @@
 //!   cell) runs serially on that worker.
 //! * **Tunable.** `DISC_JOBS=n` caps the worker count; `DISC_JOBS=1`
 //!   forces fully serial execution (useful when bisecting).
+//!
+//! [`WorkerPool`] is the long-lived counterpart for servers: named
+//! worker threads draining one FIFO job queue under one lock.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

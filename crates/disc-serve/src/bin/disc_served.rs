@@ -8,9 +8,8 @@
 //!
 //! Serves the `disc-serve/v1` protocol until a client sends `shutdown`.
 //! With `--print-addr` the bound address is printed on the first stdout
-//! line (for harnesses binding port 0). The `DISC_SERVE_WORKERS`
-//! environment variable overrides the default worker count; an explicit
-//! `--workers` flag wins over both.
+//! line (for harnesses binding port 0). `--workers` defaults to
+//! `DISC_JOBS`, else the machine's available parallelism.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -29,14 +28,6 @@ fn usage() -> ! {
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:4715".to_string();
     let mut config = ServerConfig::default();
-    // Deploy-level override, below the explicit flag in precedence.
-    if let Some(n) = std::env::var("DISC_SERVE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        config.workers = n;
-    }
     let mut print_addr = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -25,12 +25,11 @@
 //!
 //! The server is dependency-free by construction (std TCP + threads,
 //! no async runtime): the accept loop hands each connection to a
-//! reader thread, cheap verbs execute inline, and `run` work rides the
-//! shared pool.
+//! reader thread, cheap verbs execute inline against one locked session
+//! table, and `run` work rides the shared pool's one job queue.
 
 pub mod client;
 pub mod protocol;
-pub mod registry;
 pub mod server;
 
 pub use client::{Client, ServeError};

@@ -1,25 +1,26 @@
 //! The session server: accept loop, per-connection reader threads, the
-//! sharded session table, and the chunked run scheduler on the
-//! work-stealing worker pool.
+//! session table, and the chunked run scheduler on the worker pool.
 //!
-//! Multicore scale-out removed the server's three global serialization
-//! points: the session table is lock-striped ([`crate::registry`]),
-//! chunk scheduling rides per-worker deques with session→worker
-//! affinity (`WorkerPool::submit_to`, keyed by session id so a
-//! session's machine stays cache-warm on one worker), and the wire path
-//! batches each chunk's sample lines into one write+flush at the chunk
-//! boundary ([`disc_core::Machine::flush_trace_sink`]). Chunk sizes
-//! adapt per session toward a wall-clock latency budget
+//! The session table is one `Mutex<HashMap>` and the pool is one locked
+//! FIFO queue: each lock is held for one map or queue operation, while a
+//! pool job is a whole chunk of simulation. Lock order: the table lock
+//! is never held while a session lock is taken — every verb clones (or
+//! removes) a session's `Arc` and releases the table before locking the
+//! session.
+//! The wire path batches each chunk's sample lines into one write+flush
+//! at the chunk boundary ([`disc_core::Machine::flush_trace_sink`]).
+//! Chunk sizes adapt per session toward a wall-clock latency budget
 //! ([`ServerConfig::chunk_latency`]), always rounded to the session's
 //! sampling window so pause/evict stay window-aligned and the
 //! byte-identity guarantees of chunk transparency hold at any chunk
 //! size.
 
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use disc_board::Board;
@@ -29,7 +30,6 @@ use disc_obs::{Json, RunReport, WireSink};
 use disc_par::WorkerPool;
 
 use crate::protocol::{ack, event, nack, CreateSource, Request, Verb, PROTOCOL};
-use crate::registry::Registry;
 
 /// Writer shared between a connection's ack path and its sessions'
 /// [`WireSink`]s; every line goes out under this lock in one write.
@@ -71,7 +71,7 @@ pub struct ServerConfig {
     /// Test failpoint: sleep this long between taking a session's
     /// machine for eviction and writing its snapshot, with **no** locks
     /// held. Exists so tests can pin that a slow eviction never blocks
-    /// the registry or the session's shard; always `None` in production.
+    /// the session table; always `None` in production.
     pub evict_write_delay: Option<Duration>,
 }
 
@@ -142,7 +142,7 @@ struct Session {
     chunk_cycles: u64,
     evicted_to: Option<PathBuf>,
     /// Set by `close`; tells an in-flight eviction or chunk that the
-    /// session is gone from the registry and should clean up after
+    /// session is gone from the table and should clean up after
     /// itself instead of finalizing.
     closed: bool,
     /// Last lifecycle activity, for the idle-eviction sweeper.
@@ -208,12 +208,20 @@ impl Session {
 }
 
 struct Shared {
-    sessions: Registry<Arc<Mutex<Session>>>,
+    /// Every live session by id. Never held while a session lock is
+    /// taken: take the `Arc` out, release the table, then lock.
+    sessions: Mutex<HashMap<u64, Arc<Mutex<Session>>>>,
     next_session: AtomicU64,
     pool: WorkerPool,
     config: ServerConfig,
     shutdown: AtomicBool,
     addr: SocketAddr,
+}
+
+impl Shared {
+    fn table(&self) -> MutexGuard<'_, HashMap<u64, Arc<Mutex<Session>>>> {
+        self.sessions.lock().expect("session table poisoned")
+    }
 }
 
 /// A bound, not-yet-serving session server.
@@ -257,7 +265,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            sessions: Registry::new(),
+            sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
             pool: WorkerPool::new(config.workers),
             config,
@@ -482,7 +490,7 @@ fn dispatch(
             let mut s = session;
             s.machine = Some(s.build_machine());
             let board_name = s.board.as_ref().map(|b| b.name.clone());
-            shared.sessions.insert(id, Arc::new(Mutex::new(s)));
+            shared.table().insert(id, Arc::new(Mutex::new(s)));
             let mut fields = vec![("session", Json::U64(id))];
             if let Some(name) = board_name {
                 fields.push(("board", Json::str(&name)));
@@ -505,7 +513,7 @@ fn dispatch(
                 s.phase = Phase::Running;
                 s.touched = Instant::now();
             }
-            enqueue_chunk(shared, &slot, session);
+            enqueue_chunk(shared, &slot);
             Ok(vec![("state", Json::str("running"))])
         }
         Verb::Pause { session } => {
@@ -583,7 +591,7 @@ fn dispatch(
                 }
             }
             if state == "running" {
-                enqueue_chunk(shared, &slot, session);
+                enqueue_chunk(shared, &slot);
             }
             Ok(vec![("state", Json::str(state))])
         }
@@ -607,8 +615,8 @@ fn dispatch(
         }
         Verb::Close { session } => {
             let slot = shared
-                .sessions
-                .remove(session)
+                .table()
+                .remove(&session)
                 .ok_or_else(|| format!("no such session {session}"))?;
             let mut s = slot.lock().expect("session poisoned");
             s.closed = true;
@@ -656,8 +664,9 @@ fn dispatch_stats_json(machine: &Machine) -> Json {
 
 fn lookup(shared: &Shared, session: u64) -> Result<Arc<Mutex<Session>>, String> {
     shared
-        .sessions
-        .get(session)
+        .table()
+        .get(&session)
+        .cloned()
         .ok_or_else(|| format!("no such session {session}"))
 }
 
@@ -683,7 +692,7 @@ fn evict_session(shared: &Shared, slot: &Arc<Mutex<Session>>) -> Result<(PathBuf
         s.phase = Phase::Evicting;
         (machine, s.id, prev)
     };
-    // Lock-free zone: serialize and hit the disk while the registry and
+    // Lock-free zone: serialize and hit the disk while the table and
     // the session stay fully available to other requests.
     let bytes = machine.snapshot();
     if let Some(delay) = shared.config.evict_write_delay {
@@ -693,7 +702,7 @@ fn evict_session(shared: &Shared, slot: &Arc<Mutex<Session>>) -> Result<(PathBuf
     let write_result = std::fs::write(&path, &bytes);
     let mut s = slot.lock().expect("session poisoned");
     if s.closed {
-        // Closed while we were writing: the registry entry is already
+        // Closed while we were writing: the table entry is already
         // gone, so nothing can ever resume this snapshot. Drop both the
         // machine and the file.
         let _ = std::fs::remove_file(&path);
@@ -717,55 +726,50 @@ fn evict_session(shared: &Shared, slot: &Arc<Mutex<Session>>) -> Result<(PathBuf
 /// Background sweeper pass: evict every live session idle longer than
 /// `older_than`.
 ///
-/// Walks the registry shard by shard — each shard's slots are cloned out
-/// under only that shard's lock — and inspects sessions with `try_lock`
-/// (a session busy enough to hold its lock is not idle). The snapshot
-/// write itself happens inside [`evict_session`] with no locks held, so
-/// a slow disk never blocks `create`/`stat`/`run` traffic.
+/// Clones every session's `Arc` out under the table lock, releases it,
+/// and inspects each session with `try_lock` (a session busy enough to
+/// hold its lock is not idle). The snapshot write itself happens inside
+/// [`evict_session`] with no locks held, so a slow disk never blocks
+/// `create`/`stat`/`run` traffic.
 fn sweep_idle(shared: &Shared, older_than: Duration) {
-    for shard in 0..shared.sessions.shard_count() {
-        for slot in shared.sessions.shard_slots(shard) {
-            let (id, writer) = {
-                let Ok(s) = slot.try_lock() else { continue };
-                let idle = matches!(s.phase, Phase::Idle | Phase::Paused);
-                if !(idle && s.machine.is_some() && s.touched.elapsed() >= older_than) {
-                    continue;
-                }
-                (s.id, Arc::clone(&s.writer))
-            };
-            // Eligibility is re-checked under the session lock inside
-            // `evict_session`; a verb that raced us simply turns this
-            // into a no-op Err.
-            if let Ok((path, bytes)) = evict_session(shared, &slot) {
-                send(
-                    &writer,
-                    &event(
-                        "evicted",
-                        id,
-                        [
-                            ("path", Json::str(path.display().to_string())),
-                            ("bytes", Json::U64(bytes as u64)),
-                        ],
-                    ),
-                );
+    let slots: Vec<_> = shared.table().values().cloned().collect();
+    for slot in slots {
+        let (id, writer) = {
+            let Ok(s) = slot.try_lock() else { continue };
+            let idle = matches!(s.phase, Phase::Idle | Phase::Paused);
+            if !(idle && s.machine.is_some() && s.touched.elapsed() >= older_than) {
+                continue;
             }
+            (s.id, Arc::clone(&s.writer))
+        };
+        // Eligibility is re-checked under the session lock inside
+        // `evict_session`; a verb that raced us simply turns this
+        // into a no-op Err.
+        if let Ok((path, bytes)) = evict_session(shared, &slot) {
+            send(
+                &writer,
+                &event(
+                    "evicted",
+                    id,
+                    [
+                        ("path", Json::str(path.display().to_string())),
+                        ("bytes", Json::U64(bytes as u64)),
+                    ],
+                ),
+            );
         }
     }
 }
 
-/// Schedules one chunk of a running session on the pool, pinned to the
-/// session's home worker (`id % threads`) so its machine state stays
-/// cache-warm there; an idle worker steals it only when its own deque
-/// runs dry. The job re-enqueues the session after its chunk unless the
+/// Schedules one chunk of a running session at the back of the pool's
+/// queue. The job re-enqueues the session after its chunk unless the
 /// run ended, the budget ran out, or a pause was requested — that
-/// round-robin through the deques is what lets thousands of sessions
+/// round-robin through the queue is what lets thousands of sessions
 /// share a handful of workers fairly.
-fn enqueue_chunk(shared: &Arc<Shared>, slot: &Arc<Mutex<Session>>, id: u64) {
+fn enqueue_chunk(shared: &Arc<Shared>, slot: &Arc<Mutex<Session>>) {
     let shared2 = Arc::clone(shared);
     let slot = Arc::clone(slot);
-    shared
-        .pool
-        .submit_to(id as usize, move || run_chunk_job(&shared2, &slot));
+    shared.pool.submit(move || run_chunk_job(&shared2, &slot));
 }
 
 /// Parks a running session at a chunk boundary: flips it to
@@ -858,9 +862,8 @@ fn run_chunk_job(shared: &Arc<Shared>, slot: &Arc<Mutex<Session>>) {
                         // event, not a silent EOF.
                         park_paused(s);
                     } else {
-                        let id = s.id;
                         drop(s);
-                        enqueue_chunk(shared, slot, id);
+                        enqueue_chunk(shared, slot);
                     }
                 }
             }

@@ -1,7 +1,7 @@
 //! Multicore scale-out tests: byte-identity across worker counts and
-//! chunkings, registry availability under slow evictions, shutdown with
-//! chunks in flight, concurrent verb races against the sharded
-//! registry, and the dispatch-efficiency stats exposed over the wire.
+//! chunkings, session-table availability under slow evictions, shutdown
+//! with chunks in flight, concurrent verb races against the session
+//! table, and the dispatch-efficiency stats exposed over the wire.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -132,7 +132,7 @@ fn reports_and_sample_streams_are_byte_identical_across_worker_counts() {
 /// Regression test for the sweeper/evict redesign: a slow snapshot write
 /// (here stretched to 800ms by the `evict_write_delay` failpoint) must
 /// not block `create`/`stat` traffic — eviction I/O happens with no
-/// registry or session lock held.
+/// table or session lock held.
 #[test]
 fn slow_eviction_does_not_block_concurrent_creates() {
     let config = ServerConfig {
@@ -323,7 +323,7 @@ fn shutdown_parks_emit_paused_events() {
 }
 
 /// Concurrent create/evict/stat/close from many connections against the
-/// sharded registry: every ack must be internally consistent and the
+/// session table: every ack must be internally consistent and the
 /// server must survive the full barrage.
 #[test]
 fn concurrent_create_evict_stat_races_are_coherent() {
@@ -351,7 +351,7 @@ fn concurrent_create_evict_stat_races_are_coherent() {
 
                     // A second session parked idle by a partial budget
                     // exercises the evict→resume→close path, racing other
-                    // threads doing the same across shards.
+                    // threads doing the same on their own sessions.
                     let parked = c.create(SHORT_PROGRAM, None, 64, false).expect("create");
                     c.run(parked, 128).expect("run partial");
                     let done = c.wait_done(parked).expect("budget done");
