@@ -30,8 +30,8 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use disc_bench::fuzz::diff_machines;
-use disc_core::{Exit, Machine, MachineConfig, SimError, StepMode};
-use disc_isa::Program;
+use disc_board::Board;
+use disc_core::{Exit, Machine, StepMode};
 use disc_obs::Json;
 use disc_serve::{Client, Server, ServerConfig, ServerHandle};
 
@@ -95,8 +95,11 @@ const SERVED_VS_IN_PROCESS: f64 = 0.4;
 /// Least median 2-worker / 1-worker sessions/s ratio.
 const TWO_VS_ONE_WORKER: f64 = 0.75;
 
-/// A nested countdown, ~60k cycles, identical in every session.
-const PROGRAM: &str = r#"
+/// A nested countdown, ~60k cycles, identical in every session: served
+/// as this board document, and built from it in-process.
+const BOARD: &str = r#"
+[program]
+source = """
     .stream 0, main
 main:
     ldi r2, 40
@@ -109,12 +112,15 @@ inner:
     jnz outer
     sta r2, 0x20
     halt
+"""
 "#;
 
 /// Wall seconds `f` takes.
-fn timed<T>(f: impl FnOnce() -> Result<T, SimError>) -> Res<f64> {
+fn timed<T, E: Into<Box<dyn std::error::Error + Send + Sync>>>(
+    f: impl FnOnce() -> Result<T, E>,
+) -> Res<f64> {
     let t0 = Instant::now();
-    f()?;
+    f().map_err(Into::into)?;
     Ok(t0.elapsed().as_secs_f64())
 }
 
@@ -195,10 +201,10 @@ fn core_gates() -> Res<bool> {
 }
 
 /// Runs one fleet in-process, serially, in the served step cadence.
-fn in_process_fleet(program: &Program) -> Res<f64> {
-    timed(|| {
+fn in_process_fleet(board: &Board) -> Res<f64> {
+    timed(|| -> Res<()> {
         for _ in 0..SESSIONS {
-            let mut m = Machine::new(MachineConfig::disc1(), program);
+            let mut m = board.machine()?;
             while m.run(STEP_BUDGET)? == Exit::CycleLimit {}
             std::hint::black_box(m.stats().cycles);
         }
@@ -229,7 +235,7 @@ fn check_done(done: &Json, twin: &Json) -> Res<()> {
 fn drive(addr: &str, sessions: usize, twin: &Json) -> Res<()> {
     let mut client = Client::connect(addr)?;
     for _ in 0..sessions {
-        let session = client.create(PROGRAM, None, SAMPLE_EVERY, false)?;
+        let session = client.create_board(BOARD, SAMPLE_EVERY, false)?;
         let done = loop {
             client.run(session, STEP_BUDGET)?;
             let done = client.wait_done(session)?;
@@ -270,8 +276,8 @@ fn spawn_server(workers: usize) -> Res<(ServerHandle, String)> {
 }
 
 fn serve_gates() -> Res<bool> {
-    let program = Program::assemble(PROGRAM)?;
-    let mut m = Machine::new(MachineConfig::disc1(), &program);
+    let board = Board::parse(BOARD)?;
+    let mut m = board.machine()?;
     m.run(u64::MAX)?;
     let twin = disc_obs::stats_json(m.stats());
 
@@ -287,7 +293,7 @@ fn serve_gates() -> Res<bool> {
         for k in 0..3 {
             let side = (triple + k) % 3;
             secs[side] = match side {
-                0 => in_process_fleet(&program)?,
+                0 => in_process_fleet(&board)?,
                 _ => served_fleet(&servers[side - 1].1, &twin)?,
             };
         }

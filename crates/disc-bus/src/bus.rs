@@ -41,8 +41,8 @@ pub trait Peripheral: Send {
         let _ = irqs;
     }
 
-    /// Earliest absolute machine cycle `>= now` at which a [`tick`]
-    /// (Peripheral::tick) may produce an observable effect, or `None`
+    /// Earliest absolute machine cycle `>= now` at which a
+    /// [`tick`](Peripheral::tick) may produce an observable effect, or `None`
     /// when no future tick can. Mirrors
     /// [`DataBus::next_event`](disc_core::DataBus::next_event): the tick
     /// during the machine step starting at cycle `now` counts as

@@ -59,10 +59,11 @@ pub trait DataBus: Send {
         let _ = irqs;
     }
 
-    /// Earliest absolute machine cycle `>= now` at which a [`tick`]
-    /// (DataBus::tick) may produce an observable effect (an interrupt
-    /// request, a state change visible through [`read`](DataBus::read), or
-    /// a latency change), or `None` when no future tick can.
+    /// Earliest absolute machine cycle `>= now` at which a
+    /// [`tick`](DataBus::tick) may produce an observable effect (an
+    /// interrupt request, a state change visible through
+    /// [`read`](DataBus::read), or a latency change), or `None` when no
+    /// future tick can.
     ///
     /// Peripheral time moves one step per machine cycle; the step during
     /// the machine cycle starting at `now` counts as occurring *at* `now`,
@@ -86,9 +87,10 @@ pub trait DataBus: Send {
     }
 
     /// Advances peripheral-internal time by `cycles` machine cycles in one
-    /// step, exactly equivalent to `cycles` calls to [`tick`]
-    /// (DataBus::tick) *given* the caller's guarantee that the skipped
-    /// stretch ends strictly before [`next_event`](DataBus::next_event) —
+    /// step, exactly equivalent to `cycles` calls to
+    /// [`tick`](DataBus::tick) *given* the caller's guarantee that the
+    /// skipped stretch ends strictly before
+    /// [`next_event`](DataBus::next_event) —
     /// i.e. no tick in the stretch would have raised an interrupt or
     /// otherwise changed observable state.
     ///

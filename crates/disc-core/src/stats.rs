@@ -12,7 +12,7 @@ pub const IRQ_LATENCY_RESERVOIR: usize = 512;
 /// The machine used to push every latency into an unbounded `Vec`, which
 /// grows without limit on interrupt-heavy workloads. This keeps exact
 /// count/sum/max plus a deterministic uniform reservoir of up to
-/// [`IRQ_LATENCY_RESERVOIR`] samples for percentile estimates. For runs
+/// `IRQ_LATENCY_RESERVOIR` samples for percentile estimates. For runs
 /// that record at most that many latencies (all current experiments), the
 /// samples are the complete sequence and percentiles are exact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -281,8 +281,8 @@ impl CycleAttribution {
     }
 }
 
-/// Counters describing how much time [`StepMode::EventSkip`]
-/// (crate::StepMode) fast-forwarded.
+/// Counters describing how much time
+/// [`StepMode::EventSkip`](crate::StepMode::EventSkip) fast-forwarded.
 ///
 /// Kept separate from [`MachineStats`] on purpose: the architectural
 /// statistics must compare equal between step modes, while skip counters

@@ -146,9 +146,9 @@ pub trait TraceSink: Send + 'static {
     /// [`wants_records`](TraceSink::wants_records) returns `true`.
     fn record_cycle(&mut self, record: CycleRecord);
 
-    /// Called once per cycle (after any [`record_cycle`]
-    /// (TraceSink::record_cycle)) with the cycle number just completed and
-    /// the statistics as of the end of that cycle.
+    /// Called once per cycle (after any
+    /// [`record_cycle`](TraceSink::record_cycle)) with the cycle number
+    /// just completed and the statistics as of the end of that cycle.
     fn observe_stats(&mut self, cycle: u64, stats: &MachineStats) {
         let _ = (cycle, stats);
     }

@@ -53,8 +53,9 @@ impl AddrRange {
 
 /// Half-open cycle window `[from, until)` during which a fault is active.
 ///
-/// Cycles are counted by the injector's own [`tick`](disc_core::DataBus::
-/// tick) counter, which the machine advances once per simulated cycle, so
+/// Cycles are counted by the injector's own
+/// [`tick`](disc_core::DataBus::tick) counter, which the machine advances
+/// once per simulated cycle, so
 /// windows line up with [`MachineStats::cycles`](disc_core::MachineStats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultWindow {

@@ -365,7 +365,7 @@ const WIRE_FLUSH_THRESHOLD: usize = 64 * 1024;
 /// reusable pending buffer, and complete lines are batched — a single
 /// `write_all` + `flush` under the shared lock per chunk boundary
 /// ([`TraceSink::flush_out`], driven by the server after each scheduling
-/// chunk) or per [`WIRE_FLUSH_THRESHOLD`] bytes, whichever comes first.
+/// chunk) or per `WIRE_FLUSH_THRESHOLD` bytes, whichever comes first.
 /// Only whole lines ever cross the lock, so concurrent writers can never
 /// interleave mid-line.
 ///

@@ -6,7 +6,9 @@
 //!             [--evict-after-ms MS] [--boards DIR] [--print-addr]
 //! ```
 //!
-//! Serves the `disc-serve/v1` protocol until a client sends `shutdown`.
+//! Serves the `disc-serve/v2` protocol until a client sends `shutdown`.
+//! Every session is a board: `create` takes an inline `board` document,
+//! or a `board_name` resolved as `<DIR>/<name>.board` under `--boards`.
 //! With `--print-addr` the bound address is printed on the first stdout
 //! line (for harnesses binding port 0). `--workers` defaults to
 //! `DISC_JOBS`, else the machine's available parallelism.
@@ -55,8 +57,9 @@ fn main() -> ExitCode {
             "--evict-dir" => config.evict_dir = value("--evict-dir").into(),
             "--boards" => config.board_dir = Some(value("--boards").into()),
             "--evict-after-ms" => match value("--evict-after-ms").parse() {
-                Ok(ms) => config.evict_after = Some(Duration::from_millis(ms)),
-                Err(_) => usage(),
+                // 0 would spin the idle sweeper with no sleep between passes.
+                Ok(ms) if ms > 0 => config.evict_after = Some(Duration::from_millis(ms)),
+                _ => usage(),
             },
             "--print-addr" => print_addr = true,
             "--help" | "-h" => usage(),

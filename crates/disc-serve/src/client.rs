@@ -1,4 +1,4 @@
-//! Blocking client for the `disc-serve/v1` protocol.
+//! Blocking client for the `disc-serve` wire protocol ([`PROTOCOL`]).
 //!
 //! One [`Client`] owns one connection. Requests are synchronous — each
 //! verb method writes a line and reads until the matching ack comes
@@ -220,35 +220,9 @@ impl Client {
         self.request("ping", []).map(|_| ())
     }
 
-    /// `create`: returns the new session id.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::request`].
-    pub fn create(
-        &mut self,
-        program: &str,
-        config: Option<Json>,
-        sample_every: u64,
-        trace: bool,
-    ) -> Result<u64, ServeError> {
-        let mut fields = vec![
-            ("program", Json::str(program)),
-            ("sample_every", Json::U64(sample_every)),
-            ("trace", Json::Bool(trace)),
-        ];
-        if let Some(c) = config {
-            fields.push(("config", c));
-        }
-        let ack = self.request("create", fields)?;
-        ack.get("session")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ServeError::Protocol("create ack lacked a session id".into()))
-    }
-
     /// `create` from an inline board document: the board's `[machine]`
-    /// section, peripherals and fault plan define the machine; returns
-    /// the new session id.
+    /// section, peripherals, fault plan and `[program]` define the
+    /// machine; returns the new session id.
     ///
     /// # Errors
     ///
@@ -260,17 +234,7 @@ impl Client {
         sample_every: u64,
         trace: bool,
     ) -> Result<u64, ServeError> {
-        let ack = self.request(
-            "create",
-            [
-                ("board", Json::str(board)),
-                ("sample_every", Json::U64(sample_every)),
-                ("trace", Json::Bool(trace)),
-            ],
-        )?;
-        ack.get("session")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ServeError::Protocol("create ack lacked a session id".into()))
+        self.create_from("board", board, sample_every, trace)
     }
 
     /// `create` from a board name the server resolves against its board
@@ -286,10 +250,20 @@ impl Client {
         sample_every: u64,
         trace: bool,
     ) -> Result<u64, ServeError> {
+        self.create_from("board_name", name, sample_every, trace)
+    }
+
+    fn create_from(
+        &mut self,
+        source: &'static str,
+        value: &str,
+        sample_every: u64,
+        trace: bool,
+    ) -> Result<u64, ServeError> {
         let ack = self.request(
             "create",
             [
-                ("board_name", Json::str(name)),
+                (source, Json::str(value)),
                 ("sample_every", Json::U64(sample_every)),
                 ("trace", Json::Bool(trace)),
             ],

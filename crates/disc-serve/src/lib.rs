@@ -2,8 +2,9 @@
 //!
 //! The simulator's batch harnesses (`repro_all`, the soak/fuzz
 //! campaigns) own their machines cradle-to-grave. This crate turns the
-//! machine into a *managed session*: a client submits a program and a
-//! [`disc_core::MachineConfig`] over TCP, the server runs it in bounded
+//! machine into a *managed session*: a client submits a board (a
+//! [`disc_board::Board`] document, inline or by name) over TCP, the
+//! server builds its machine and runs it in bounded
 //! chunks on a fixed [`disc_par::WorkerPool`], and observability
 //! streams back over the same connection as JSONL events — sampled
 //! counter windows ([`disc_obs::WireSink`]), optional full cycle
@@ -16,8 +17,8 @@
 //! `snapshot` | `evict` | `resume`)* → done, each a verb of the
 //! [`protocol`]. Eviction snapshots the machine (`disc-snap/v2`, via
 //! [`disc_core::Machine::snapshot`]) to disk and drops it; `resume`
-//! rebuilds the machine from the retained program + config and applies
-//! the snapshot. Because chunk boundaries are timing-transparent and
+//! rebuilds the machine from the retained board and applies the
+//! snapshot. Because chunk boundaries are timing-transparent and
 //! chunks are aligned to the sampling window, a session that is paused,
 //! evicted, restored and resumed completes *byte-identical* — same
 //! report, same stats, same sample stream — to one that ran start to
@@ -33,5 +34,5 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ServeError};
-pub use protocol::{config_from_json, CreateSource, Request, Verb, PROTOCOL};
+pub use protocol::{CreateSource, Request, Verb, PROTOCOL};
 pub use server::{Server, ServerConfig, ServerHandle};

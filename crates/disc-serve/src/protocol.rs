@@ -1,4 +1,4 @@
-//! The `disc-serve/v1` wire protocol: one JSON object per line, both
+//! The `disc-serve/v2` wire protocol: one JSON object per line, both
 //! directions.
 //!
 //! Clients send *requests* — `{"id":N,"verb":"...",...}` — and the
@@ -17,7 +17,7 @@
 //! | verb       | operands                                     | effect |
 //! |------------|----------------------------------------------|--------|
 //! | `ping`     | —                                            | liveness probe |
-//! | `create`   | `program`\|`board`\|`board_name`, `config?`, `sample_every?`, `trace?` | assemble + build a machine, returns `session` |
+//! | `create`   | `board`\|`board_name`, `sample_every?`, `trace?` | parse a board + build its machine, returns `session` |
 //! | `run`      | `session`, `cycles`                          | run asynchronously on the worker pool |
 //! | `pause`    | `session`                                    | stop at the next chunk boundary |
 //! | `snapshot` | `session`                                    | serialize state, returns size + checksum |
@@ -26,12 +26,16 @@
 //! | `stat`     | `session`                                    | state, cycle, headline counters |
 //! | `close`    | `session`                                    | discard the session entirely |
 //! | `shutdown` | —                                            | stop accepting; drain and exit |
+//!
+//! Every session is a board: its `[machine]` section, peripherals,
+//! fault plan and `[program]` come from one document, sent inline or
+//! named. A create that still sends v1's `program` or `config` operand
+//! is nacked with a message pointing at `board`.
 
-use disc_core::{DispatchMode, MachineConfig, StepMode};
 use disc_obs::Json;
 
 /// Protocol identifier sent in the `hello` event and checked by clients.
-pub const PROTOCOL: &str = "disc-serve/v1";
+pub const PROTOCOL: &str = "disc-serve/v2";
 
 /// One parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,15 +51,11 @@ pub struct Request {
 pub enum Verb {
     /// Liveness probe.
     Ping,
-    /// Assemble a program (or parse a board) and build a machine for it.
+    /// Parse a board and build its machine.
     Create {
-        /// Where the machine comes from: raw assembly, an inline board
-        /// document, or a board name resolved server-side.
+        /// Where the board comes from: an inline document or a name
+        /// resolved server-side.
         source: CreateSource,
-        /// Machine configuration (defaults to [`MachineConfig::disc1`]).
-        /// Ignored for board sources — the board's `[machine]` section is
-        /// authoritative there.
-        config: MachineConfig,
         /// Sampling window for streamed counters (0 disables sampling).
         sample_every: u64,
         /// Also stream full per-cycle trace frames (heavy).
@@ -102,11 +102,9 @@ pub enum Verb {
     Shutdown,
 }
 
-/// What a `create` request builds its machine from.
+/// Where a `create` request's board comes from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CreateSource {
-    /// DISC assembly text (`"program"` operand).
-    Program(String),
     /// An inline board document (`"board"` operand): machine shape,
     /// peripherals, fault plan and program all come from the document.
     BoardDoc(String),
@@ -152,48 +150,29 @@ impl Request {
         let verb = match verb {
             "ping" => Verb::Ping,
             "create" => {
-                let take_str = |key: &'static str| -> Result<Option<String>, String> {
-                    match json.get(key) {
-                        None => Ok(None),
-                        Some(v) => v
-                            .as_str()
-                            .map(|s| Some(s.to_string()))
-                            .ok_or_else(|| format!("create operand {key:?} must be a string")),
+                for removed in ["program", "config"] {
+                    if json.get(removed).is_some() {
+                        return Err(format!(
+                            "create operand {removed:?} was removed in {PROTOCOL}; send the \
+                             machine and its program as a \"board\" document"
+                        ));
+                    }
+                }
+                let board = operand(json, "board", "a string", Json::as_str)?;
+                let board_name = operand(json, "board_name", "a string", Json::as_str)?;
+                let source = match (board, board_name) {
+                    (Some(b), None) => CreateSource::BoardDoc(b.to_string()),
+                    (None, Some(n)) => CreateSource::BoardName(n.to_string()),
+                    (None, None) => return Err("create needs \"board\" or \"board_name\"".into()),
+                    (Some(_), Some(_)) => {
+                        return Err("create takes exactly one of \"board\", \"board_name\"".into())
                     }
                 };
-                let program = take_str("program")?;
-                let board = take_str("board")?;
-                let board_name = take_str("board_name")?;
-                let source =
-                    match (program, board, board_name) {
-                        (Some(p), None, None) => CreateSource::Program(p),
-                        (None, Some(b), None) => CreateSource::BoardDoc(b),
-                        (None, None, Some(n)) => CreateSource::BoardName(n),
-                        (None, None, None) => {
-                            return Err(
-                                "create needs one of \"program\", \"board\", \"board_name\"".into(),
-                            )
-                        }
-                        _ => return Err(
-                            "create takes exactly one of \"program\", \"board\", \"board_name\""
-                                .into(),
-                        ),
-                    };
-                if !matches!(source, CreateSource::Program(_)) && json.get("config").is_some() {
-                    return Err(
-                        "\"config\" conflicts with a board source; configure the machine in \
-                         the board's [machine] section"
-                            .into(),
-                    );
-                }
-                let config = config_from_json(json.get("config"))?;
-                let sample_every = json.get("sample_every").and_then(Json::as_u64).unwrap_or(0);
-                let trace = json.get("trace").and_then(Json::as_bool).unwrap_or(false);
                 Verb::Create {
                     source,
-                    config,
-                    sample_every,
-                    trace,
+                    sample_every: operand(json, "sample_every", "a number", Json::as_u64)?
+                        .unwrap_or(0),
+                    trace: operand(json, "trace", "a boolean", Json::as_bool)?.unwrap_or(false),
                 }
             }
             "run" => Verb::Run {
@@ -228,79 +207,17 @@ impl Request {
     }
 }
 
-/// Builds a [`MachineConfig`] from the optional `config` operand:
-/// [`MachineConfig::disc1`] defaults with any of `streams`,
-/// `pipeline_depth`, `window_depth`, `default_ext_latency`,
-/// `step_mode` (`"cycle"`/`"event-skip"`) and `dispatch_mode`
-/// (`"superblock"`/`"legacy"`) overridden.
-///
-/// # Errors
-///
-/// Returns a message naming the offending field on ill-typed overrides
-/// or unknown mode names.
-pub fn config_from_json(json: Option<&Json>) -> Result<MachineConfig, String> {
-    let mut config = MachineConfig::disc1();
-    let Some(json) = json else {
-        return Ok(config);
-    };
-    if let Some(v) = json.get("streams") {
-        let n = v.as_u64().ok_or("config.streams must be a number")?;
-        config = config.with_streams(n as usize);
-    }
-    if let Some(v) = json.get("pipeline_depth") {
-        let n = v.as_u64().ok_or("config.pipeline_depth must be a number")?;
-        config = config.with_pipeline_depth(n as usize);
-    }
-    if let Some(v) = json.get("window_depth") {
-        let n = v.as_u64().ok_or("config.window_depth must be a number")?;
-        config = config.with_window_depth(n as usize);
-    }
-    if let Some(v) = json.get("default_ext_latency") {
-        let n = v
-            .as_u64()
-            .ok_or("config.default_ext_latency must be a number")?;
-        config = config.with_default_ext_latency(n as u32);
-    }
-    if let Some(v) = json.get("step_mode") {
-        let mode = match v.as_str() {
-            Some("cycle") | Some("cycle-by-cycle") => StepMode::CycleByCycle,
-            Some("event-skip") => StepMode::EventSkip,
-            _ => return Err("config.step_mode must be \"cycle\" or \"event-skip\"".into()),
-        };
-        config = config.with_step_mode(mode);
-    }
-    if let Some(v) = json.get("dispatch_mode") {
-        let mode = match v.as_str() {
-            Some("superblock") => DispatchMode::Superblock,
-            Some("legacy") => DispatchMode::Legacy,
-            _ => return Err("config.dispatch_mode must be \"superblock\" or \"legacy\"".into()),
-        };
-        config = config.with_dispatch_mode(mode);
-    }
-    // `MachineConfig::validate` panics (it guards `Machine::new` against
-    // programmer error); a *client* supplied this config, so range-check
-    // the overridable fields here and refuse politely instead.
-    if !(1..=disc_isa::MAX_STREAMS).contains(&config.streams) {
-        return Err(format!(
-            "config.streams must be 1..={}, got {}",
-            disc_isa::MAX_STREAMS,
-            config.streams
-        ));
-    }
-    if !(3..=8).contains(&config.pipeline_depth) {
-        return Err(format!(
-            "config.pipeline_depth must be 3..=8, got {}",
-            config.pipeline_depth
-        ));
-    }
-    if config.window_depth <= disc_isa::WINDOW_REGS {
-        return Err(format!(
-            "config.window_depth must exceed {}, got {}",
-            disc_isa::WINDOW_REGS,
-            config.window_depth
-        ));
-    }
-    Ok(config)
+/// Reads the optional operand `key` through `get`: absent is `None`,
+/// present but not `kind` is an error naming the operand.
+fn operand<'a, T>(
+    json: &'a Json,
+    key: &str,
+    kind: &str,
+    get: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    json.get(key)
+        .map(|v| get(v).ok_or_else(|| format!("operand {key:?} must be {kind}")))
+        .transpose()
 }
 
 /// A successful ack for request `id`, with extra fields appended.
@@ -345,7 +262,7 @@ mod tests {
             }
         );
         let r = Request::parse(
-            r#"{"id":2,"verb":"create","program":"halt","sample_every":64,"trace":true}"#,
+            r#"{"id":2,"verb":"create","board":"b","sample_every":64,"trace":true}"#,
         )
         .unwrap();
         match r.verb {
@@ -355,7 +272,7 @@ mod tests {
                 trace,
                 ..
             } => {
-                assert_eq!(source, CreateSource::Program("halt".into()));
+                assert_eq!(source, CreateSource::BoardDoc("b".into()));
                 assert_eq!(sample_every, 64);
                 assert!(trace);
             }
@@ -409,54 +326,41 @@ mod tests {
             other => panic!("wrong verb {other:?}"),
         }
         assert!(
-            Request::parse(r#"{"id":7,"verb":"create","program":"halt","board":"x"}"#)
+            Request::parse(r#"{"id":7,"verb":"create","board":"x","board_name":"y"}"#)
                 .unwrap_err()
                 .contains("exactly one")
         );
         assert!(Request::parse(r#"{"id":8,"verb":"create"}"#)
             .unwrap_err()
-            .contains("one of"));
-        assert!(
-            Request::parse(r#"{"id":9,"verb":"create","board":"x","config":{"streams":2}}"#)
-                .unwrap_err()
-                .contains("[machine] section")
-        );
-    }
-
-    #[test]
-    fn config_overrides_apply() {
-        let json = Json::parse(
-            r#"{"streams":4,"pipeline_depth":5,"step_mode":"event-skip","dispatch_mode":"legacy"}"#,
-        )
-        .unwrap();
-        let c = config_from_json(Some(&json)).unwrap();
-        assert_eq!(c.streams, 4);
-        assert_eq!(c.pipeline_depth, 5);
-        assert_eq!(c.step_mode, StepMode::EventSkip);
-        assert_eq!(c.dispatch_mode, DispatchMode::Legacy);
-        // No config at all is the DISC1 default.
-        let d = config_from_json(None).unwrap();
-        assert_eq!(d.fingerprint(), MachineConfig::disc1().fingerprint());
+            .contains("\"board\""));
     }
 
     #[test]
     fn malformed_requests_name_the_problem() {
-        assert!(Request::parse("nonsense").unwrap_err().contains("bad json"));
-        assert!(Request::parse(r#"{"verb":"ping"}"#)
-            .unwrap_err()
-            .contains("id"));
-        assert!(Request::parse(r#"{"id":1}"#).unwrap_err().contains("verb"));
-        assert!(Request::parse(r#"{"id":1,"verb":"warp"}"#)
-            .unwrap_err()
-            .contains("unknown verb"));
-        assert!(Request::parse(r#"{"id":1,"verb":"run","cycles":5}"#)
-            .unwrap_err()
-            .contains("session"));
-        assert!(Request::parse(
-            r#"{"id":1,"verb":"create","config":{"step_mode":"warp"},"program":"halt"}"#
-        )
-        .unwrap_err()
-        .contains("step_mode"));
+        for (line, names) in [
+            ("nonsense", "bad json"),
+            (r#"{"verb":"ping"}"#, "id"),
+            (r#"{"id":1}"#, "verb"),
+            (r#"{"id":1,"verb":"warp"}"#, "unknown verb"),
+            (r#"{"id":1,"verb":"run","cycles":5}"#, "session"),
+            // Present but ill-typed optional operands are refused, not
+            // silently read as their defaults.
+            (
+                r#"{"id":1,"verb":"create","board":"x","sample_every":"64"}"#,
+                "sample_every",
+            ),
+            (r#"{"id":1,"verb":"create","board":"x","trace":1}"#, "trace"),
+            (r#"{"id":1,"verb":"create","board_name":7}"#, "board_name"),
+            // v1's create operands are gone; the nack points at `board`.
+            (r#"{"id":1,"verb":"create","program":"halt"}"#, "removed"),
+            (
+                r#"{"id":1,"verb":"create","board":"x","config":{}}"#,
+                "removed",
+            ),
+        ] {
+            let err = Request::parse(line).unwrap_err();
+            assert!(err.contains(names), "{line}: {err}");
+        }
     }
 
     #[test]

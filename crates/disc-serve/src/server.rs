@@ -24,8 +24,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use disc_board::Board;
-use disc_core::{Exit, Machine, MachineConfig, SimError};
-use disc_isa::Program;
+use disc_core::{Exit, Machine, SimError};
 use disc_obs::{Json, RunReport, WireSink};
 use disc_par::WorkerPool;
 
@@ -55,7 +54,7 @@ pub struct ServerConfig {
     /// Per-session chunk wall-clock budget. A session's cycles-per-chunk
     /// doubles while a full chunk completes in under half this budget
     /// and halves on overshoot (never below the aligned baseline, never
-    /// above [`MAX_CHUNK_GROWTH`]× it), so fast sessions amortize
+    /// above `MAX_CHUNK_GROWTH`× it), so fast sessions amortize
     /// scheduling overhead while pause/stat responsiveness stays bounded
     /// by roughly this duration. `Duration::ZERO` disables adaptation
     /// (fixed baseline chunks).
@@ -124,12 +123,10 @@ impl Phase {
 /// One managed machine and everything needed to rebuild it.
 struct Session {
     id: u64,
-    program: Program,
-    config: MachineConfig,
-    /// Present when the session was created from a board: the machine
-    /// (peripherals, fault plan, idle-exit policy) is rebuilt from it on
-    /// evict-resume, so restored sessions get an identically-shaped bus.
-    board: Option<Board>,
+    /// The machine (peripherals, fault plan, idle-exit policy) is
+    /// rebuilt from it on evict-resume, so restored sessions get an
+    /// identically-shaped bus.
+    board: Board,
     sample_every: u64,
     trace: bool,
     machine: Option<Machine>,
@@ -175,19 +172,9 @@ impl Session {
     /// restores state first, then attaches the sink at the restored
     /// cycle).
     fn fresh_machine(&self) -> Machine {
-        match &self.board {
-            Some(board) => board
-                .machine()
-                .expect("board was validated when the session was created"),
-            None => Machine::new(self.config.clone(), &self.program),
-        }
-    }
-
-    /// Builds a fresh machine and attaches its wire sink.
-    fn build_machine(&self) -> Machine {
-        let mut m = self.fresh_machine();
-        self.attach_sink(&mut m);
-        m
+        self.board
+            .machine()
+            .expect("the board built a machine when the session was created")
     }
 
     fn attach_sink(&self, machine: &mut Machine) {
@@ -425,55 +412,27 @@ fn dispatch(
         Verb::Shutdown => Ok(vec![]),
         Verb::Create {
             source,
-            config,
             sample_every,
             trace,
         } => {
             // Every failure below is a nack on this request, never fatal:
             // a malformed board document must leave the server (and the
             // connection) fully serviceable.
-            let (program, config, board) = match source {
-                CreateSource::Program(text) => {
-                    let program = Program::assemble(&text).map_err(|e| format!("assembly: {e}"))?;
-                    (program, config, None)
-                }
-                CreateSource::BoardDoc(text) => {
-                    let board = Board::parse(&text).map_err(|e| format!("board: {e}"))?;
-                    let program = board.program().map_err(|e| format!("board: {e}"))?;
-                    let config = board.config.clone();
-                    (program, config, Some(board))
-                }
+            let (text, what) = match source {
+                CreateSource::BoardDoc(text) => (text, "board".to_string()),
                 CreateSource::BoardName(name) => {
-                    let dir = shared.config.board_dir.as_ref().ok_or(
-                        "server has no board directory; pass the document inline as \"board\"",
-                    )?;
-                    if name.is_empty()
-                        || name.contains(['/', '\\'])
-                        || name.contains("..")
-                        || name.starts_with('.')
-                    {
-                        return Err(format!("board name {name:?} must be a bare file stem"));
-                    }
-                    let path = dir.join(format!("{name}.board"));
-                    let text = std::fs::read(&path)
-                        .map_err(|e| format!("board {name:?}: {e}"))
-                        .and_then(|b| {
-                            String::from_utf8(b)
-                                .map_err(|_| format!("board {name:?}: not valid UTF-8"))
-                        })?;
-                    let board = Board::parse(&text).map_err(|e| format!("board {name:?}: {e}"))?;
-                    let program = board
-                        .program()
-                        .map_err(|e| format!("board {name:?}: {e}"))?;
-                    let config = board.config.clone();
-                    (program, config, Some(board))
+                    (read_named_board(shared, &name)?, format!("board {name:?}"))
                 }
             };
+            let board = Board::parse(&text).map_err(|e| format!("{what}: {e}"))?;
+            let mut machine = board.machine().map_err(|e| format!("{what}: {e}"))?;
             let id = shared.next_session.fetch_add(1, Ordering::SeqCst);
-            let session = Session {
+            let fields = vec![
+                ("session", Json::U64(id)),
+                ("board", Json::str(&board.name)),
+            ];
+            let mut s = Session {
                 id,
-                program,
-                config,
                 board,
                 sample_every,
                 trace,
@@ -487,14 +446,9 @@ fn dispatch(
                 touched: Instant::now(),
                 writer: Arc::clone(writer),
             };
-            let mut s = session;
-            s.machine = Some(s.build_machine());
-            let board_name = s.board.as_ref().map(|b| b.name.clone());
+            s.attach_sink(&mut machine);
+            s.machine = Some(machine);
             shared.table().insert(id, Arc::new(Mutex::new(s)));
-            let mut fields = vec![("session", Json::U64(id))];
-            if let Some(name) = board_name {
-                fields.push(("board", Json::str(&name)));
-            }
             Ok(fields)
         }
         Verb::Run { session, cycles } => {
@@ -633,6 +587,22 @@ fn dispatch(
 }
 
 const EVICTING_MSG: &str = "session eviction is in progress; retry shortly";
+
+/// Reads `<board_dir>/<name>.board` for a `board_name` create.
+fn read_named_board(shared: &Shared, name: &str) -> Result<String, String> {
+    let dir = shared
+        .config
+        .board_dir
+        .as_ref()
+        .ok_or("server has no board directory; pass the document inline as \"board\"")?;
+    if name.is_empty() || name.contains(['/', '\\']) || name.contains("..") || name.starts_with('.')
+    {
+        return Err(format!("board name {name:?} must be a bare file stem"));
+    }
+    let path = dir.join(format!("{name}.board"));
+    let bytes = std::fs::read(&path).map_err(|e| format!("board {name:?}: {e}"))?;
+    String::from_utf8(bytes).map_err(|_| format!("board {name:?}: not valid UTF-8"))
+}
 
 /// Per-session dispatch-efficiency counters for the `stat` ack and the
 /// final `done` event: superblock fast-path coverage and event-skip

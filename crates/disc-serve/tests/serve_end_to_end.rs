@@ -3,7 +3,7 @@
 //! acceptance criterion that a paused/evicted/restored session completes
 //! byte-identical to an uninterrupted one.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use disc_obs::Json;
 use disc_serve::{Client, ServeError, Server, ServerConfig};
@@ -11,7 +11,9 @@ use disc_serve::{Client, ServeError, Server, ServerConfig};
 /// A triple-nested countdown: ~4.8M cycles of pure compute, long enough
 /// in wall time that a pause request lands mid-run, deterministic in
 /// outcome.
-const LONG_PROGRAM: &str = r#"
+const LONG_BOARD: &str = r#"
+[program]
+source = """
     .stream 0, main
 main:
     ldi r3, 20
@@ -28,10 +30,13 @@ inner:
     jnz outer
     sta r3, 0x30
     halt
+"""
 "#;
 
-/// A short program for lifecycle and fleet tests.
-const SHORT_PROGRAM: &str = r#"
+/// A short countdown board for lifecycle and fleet tests.
+const SHORT_BOARD: &str = r#"
+[program]
+source = """
     .stream 0, main
 main:
     ldi r0, 250
@@ -40,6 +45,7 @@ loop:
     jnz loop
     sta r0, 0x20
     halt
+"""
 "#;
 
 fn test_server(tag: &str) -> (disc_serve::ServerHandle, String) {
@@ -63,16 +69,16 @@ fn shutdown(addr: &str, handle: disc_serve::ServerHandle) {
     handle.join().expect("server exits cleanly");
 }
 
-/// Runs `program` start-to-finish in one session and returns the `done`
+/// Runs `board` start-to-finish in one session and returns the `done`
 /// event plus every streamed sample's rendered `data`.
 fn run_to_done(
     client: &mut Client,
-    program: &str,
+    board: &str,
     sample_every: u64,
     budget: u64,
 ) -> (Json, Vec<String>) {
     let session = client
-        .create(program, None, sample_every, false)
+        .create_board(board, sample_every, false)
         .expect("create");
     client.run(session, budget).expect("run");
     let done = client.wait_done(session).expect("done");
@@ -94,11 +100,11 @@ fn session_lifecycle_and_streamed_report() {
     let mut c = Client::connect(&addr).unwrap();
     assert_eq!(
         c.hello().get("proto").and_then(Json::as_str),
-        Some("disc-serve/v1")
+        Some("disc-serve/v2")
     );
     c.ping().unwrap();
 
-    let (done, samples) = run_to_done(&mut c, SHORT_PROGRAM, 64, 100_000);
+    let (done, samples) = run_to_done(&mut c, SHORT_BOARD, 64, 100_000);
     assert_eq!(done.get("exit").and_then(Json::as_str), Some("halted"));
     let cycles = done.get("cycles").and_then(Json::as_u64).unwrap();
     assert!(cycles > 250, "the countdown takes at least 250 cycles");
@@ -136,18 +142,18 @@ fn bad_requests_are_refused_not_fatal() {
         other => panic!("expected nack, got {other:?}"),
     }
     // Assembly error.
-    match c.create("this is not assembly", None, 0, false) {
+    match c.create_board("[program]\nsource = \"this is not assembly\"", 0, false) {
         Err(ServeError::Nack(msg)) => assert!(msg.contains("assembly")),
         other => panic!("expected nack, got {other:?}"),
     }
-    // Bad config.
-    match c.create(
-        SHORT_PROGRAM,
-        Some(Json::parse(r#"{"streams":99}"#).unwrap()),
-        0,
-        false,
-    ) {
+    // Bad machine shape.
+    match c.create_board("[machine]\nstreams = 99", 0, false) {
         Err(ServeError::Nack(msg)) => assert!(msg.contains("streams")),
+        other => panic!("expected nack, got {other:?}"),
+    }
+    // v1's raw-assembly operand is gone; the nack points at `board`.
+    match c.request("create", [("program", Json::str("halt"))]) {
+        Err(ServeError::Nack(msg)) => assert!(msg.contains("\"board\""), "{msg}"),
         other => panic!("expected nack, got {other:?}"),
     }
     // The connection survives all of it.
@@ -163,14 +169,14 @@ fn paused_evicted_restored_session_completes_byte_identical() {
 
     // Reference: one uninterrupted run.
     let mut c = Client::connect(&addr).unwrap();
-    let (ref_done, ref_samples) = run_to_done(&mut c, LONG_PROGRAM, sample_every, budget);
+    let (ref_done, ref_samples) = run_to_done(&mut c, LONG_BOARD, sample_every, budget);
     assert_eq!(ref_done.get("exit").and_then(Json::as_str), Some("halted"));
     let ref_fingerprint = ref_done.get("fingerprint").and_then(Json::as_u64).unwrap();
 
     // Same program, same budget — but paused mid-run, snapshotted,
     // evicted to disk, restored, and resumed.
     let session = c
-        .create(LONG_PROGRAM, None, sample_every, false)
+        .create_board(LONG_BOARD, sample_every, false)
         .expect("create");
     c.run(session, budget).expect("run");
     // Let it get properly underway before interrupting. (`wait_event`
@@ -255,7 +261,7 @@ fn fleet_of_sessions_multiplexes_over_the_pool() {
     let mut c = Client::connect(&addr).unwrap();
     let n = 24;
     let sessions: Vec<u64> = (0..n)
-        .map(|_| c.create(SHORT_PROGRAM, None, 128, false).expect("create"))
+        .map(|_| c.create_board(SHORT_BOARD, 128, false).expect("create"))
         .collect();
     for &s in &sessions {
         c.run(s, 100_000).expect("run");
@@ -295,7 +301,7 @@ fn idle_sessions_are_swept_to_disk_and_restorable() {
 
     // Run a *partial* budget so the session parks in `idle` mid-program,
     // then let the sweeper notice it.
-    let session = c.create(LONG_PROGRAM, None, 16_384, false).expect("create");
+    let session = c.create_board(LONG_BOARD, 16_384, false).expect("create");
     c.run(session, 32_768).expect("run");
     let done = c.wait_done(session).expect("budget done");
     assert_eq!(done.get("exit").and_then(Json::as_str), Some("cycle-limit"));
@@ -387,8 +393,8 @@ fn board_sessions_run_and_malformed_boards_are_nacked_never_fatal() {
     match c.request(
         "create",
         [
-            ("program", Json::str("halt")),
             ("board", Json::str(TIMER_BOARD)),
+            ("board_name", Json::str("timer_idle_1s")),
         ],
     ) {
         Err(ServeError::Nack(msg)) => assert!(msg.contains("exactly one")),
@@ -495,4 +501,23 @@ fn board_names_without_a_board_dir_are_refused() {
     }
     c.ping().unwrap();
     shutdown(&addr, handle);
+}
+
+#[test]
+fn disc_served_refuses_a_zero_eviction_interval() {
+    // `--evict-after-ms 0` would spin the idle sweeper; like
+    // `--workers 0` it is a usage error (exit 2), not a server.
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_disc_served"))
+        .args(["--addr", "127.0.0.1:0", "--evict-after-ms", "0"])
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn disc_served");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("wait").is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // Only a server that kept running past the deadline is still there
+    // to kill; its signal death then fails the exit-code check.
+    let _ = child.kill();
+    assert_eq!(child.wait().expect("wait").code(), Some(2));
 }

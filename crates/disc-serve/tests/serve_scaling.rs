@@ -13,7 +13,9 @@ use disc_serve::{Client, ServeError, Server, ServerConfig};
 /// A double-nested countdown, ~1M cycles: long enough that it spans
 /// many scheduling chunks at any worker count, short enough to run
 /// repeatedly.
-const MEDIUM_PROGRAM: &str = r#"
+const MEDIUM_BOARD: &str = r#"
+[program]
+source = """
     .stream 0, main
 main:
     ldi r3, 25
@@ -30,9 +32,12 @@ inner:
     jnz outer
     sta r3, 0x30
     halt
+"""
 "#;
 
-const SHORT_PROGRAM: &str = r#"
+const SHORT_BOARD: &str = r#"
+[program]
+source = """
     .stream 0, main
 main:
     ldi r0, 250
@@ -41,6 +46,7 @@ loop:
     jnz loop
     sta r0, 0x20
     halt
+"""
 "#;
 
 fn bind_server(tag: &str, config: ServerConfig) -> (disc_serve::ServerHandle, String) {
@@ -60,12 +66,10 @@ fn shutdown(addr: &str, handle: disc_serve::ServerHandle) {
     handle.join().expect("server exits cleanly");
 }
 
-/// Runs `program` to completion and returns (done event, sample datas).
-fn run_once(addr: &str, program: &str, sample_every: u64) -> (Json, Vec<String>) {
+/// Runs `board` to completion and returns (done event, sample datas).
+fn run_once(addr: &str, board: &str, sample_every: u64) -> (Json, Vec<String>) {
     let mut c = Client::connect(addr).expect("connect");
-    let session = c
-        .create(program, None, sample_every, false)
-        .expect("create");
+    let session = c.create_board(board, sample_every, false).expect("create");
     c.run(session, 100_000_000).expect("run");
     let done = c.wait_done(session).expect("done");
     let mut samples = Vec::new();
@@ -104,7 +108,7 @@ fn reports_and_sample_streams_are_byte_identical_across_worker_counts() {
             ..ServerConfig::default()
         };
         let (handle, addr) = bind_server(&format!("ident-{workers}-{chunk}"), config);
-        let (done, samples) = run_once(&addr, MEDIUM_PROGRAM, 4096);
+        let (done, samples) = run_once(&addr, MEDIUM_BOARD, 4096);
         assert_eq!(done.get("exit").and_then(Json::as_str), Some("halted"));
         let report = done.get("report").expect("report").render();
         let fingerprint = done.get("fingerprint").and_then(Json::as_u64).unwrap();
@@ -143,7 +147,7 @@ fn slow_eviction_does_not_block_concurrent_creates() {
     let (handle, addr) = bind_server("slow-evict", config);
 
     let mut c = Client::connect(&addr).unwrap();
-    let victim = c.create(SHORT_PROGRAM, None, 0, false).expect("create");
+    let victim = c.create_board(SHORT_BOARD, 0, false).expect("create");
 
     // Evict on a separate connection; the requesting thread blocks for
     // the duration of the (artificially slow) snapshot write.
@@ -163,7 +167,7 @@ fn slow_eviction_does_not_block_concurrent_creates() {
     // While the write is in flight, creates and stats must be fast.
     let started = Instant::now();
     for _ in 0..5 {
-        let s = c.create(SHORT_PROGRAM, None, 0, false).expect("create");
+        let s = c.create_board(SHORT_BOARD, 0, false).expect("create");
         c.stat(s).expect("stat");
         c.close(s).expect("close");
     }
@@ -212,7 +216,7 @@ fn shutdown_with_chunks_in_flight_is_clean() {
                 loop {
                     let shutting_down = stop.load(Ordering::SeqCst);
                     let result = c
-                        .create(MEDIUM_PROGRAM, None, 4096, false)
+                        .create_board(MEDIUM_BOARD, 4096, false)
                         .and_then(|session| {
                             c.run(session, 50_000_000)?;
                             c.stat(session)?;
@@ -258,9 +262,11 @@ fn shutdown_with_chunks_in_flight_is_clean() {
     }
 }
 
-/// Like [`MEDIUM_PROGRAM`] but ~8x longer: a run that comfortably spans
+/// Like [`MEDIUM_BOARD`] but ~8x longer: a run that comfortably spans
 /// the shutdown in the test below even on a fast host.
-const LONG_PROGRAM: &str = r#"
+const LONG_BOARD: &str = r#"
+[program]
+source = """
     .stream 0, main
 main:
     ldi r3, 200
@@ -277,6 +283,7 @@ inner:
     jnz outer
     sta r3, 0x30
     halt
+"""
 "#;
 
 /// A client whose run is interrupted by server shutdown must observe a
@@ -294,7 +301,7 @@ fn shutdown_parks_emit_paused_events() {
     let (handle, addr) = bind_server("shutdown-paused", config);
 
     let mut c = Client::connect(&addr).expect("connect");
-    let session = c.create(LONG_PROGRAM, None, 0, false).expect("create");
+    let session = c.create_board(LONG_BOARD, 0, false).expect("create");
     c.run(session, 100_000_000).expect("run");
 
     let mut admin = Client::connect(&addr).expect("connect admin");
@@ -339,7 +346,7 @@ fn concurrent_create_evict_stat_races_are_coherent() {
             std::thread::spawn(move || {
                 let mut c = Client::connect(&addr).expect("connect");
                 for _ in 0..25 {
-                    let session = c.create(SHORT_PROGRAM, None, 64, false).expect("create");
+                    let session = c.create_board(SHORT_BOARD, 64, false).expect("create");
                     c.run(session, 100_000).expect("run");
                     // Stat while (possibly) running: any phase is legal,
                     // but the ack must carry the full shape.
@@ -352,7 +359,7 @@ fn concurrent_create_evict_stat_races_are_coherent() {
                     // A second session parked idle by a partial budget
                     // exercises the evict→resume→close path, racing other
                     // threads doing the same on their own sessions.
-                    let parked = c.create(SHORT_PROGRAM, None, 64, false).expect("create");
+                    let parked = c.create_board(SHORT_BOARD, 64, false).expect("create");
                     c.run(parked, 128).expect("run partial");
                     let done = c.wait_done(parked).expect("budget done");
                     assert_eq!(done.get("exit").and_then(Json::as_str), Some("cycle-limit"));
@@ -386,7 +393,7 @@ fn stat_and_done_expose_dispatch_stats() {
 
     // No sampling sink: an attached sink is a superblock hazard, so a
     // sink-free session is the one whose bursts we can assert on.
-    let session = c.create(MEDIUM_PROGRAM, None, 0, false).expect("create");
+    let session = c.create_board(MEDIUM_BOARD, 0, false).expect("create");
     // Before any run: counters exist and are zero.
     let stat = c.stat(session).expect("stat");
     let dispatch = stat.get("dispatch").expect("stat carries dispatch stats");
@@ -425,7 +432,7 @@ fn stat_and_done_expose_dispatch_stats() {
 
     // An evicted session has no live machine and therefore no dispatch
     // section (stat still answers).
-    let s2 = c.create(SHORT_PROGRAM, None, 0, false).expect("create");
+    let s2 = c.create_board(SHORT_BOARD, 0, false).expect("create");
     c.evict(s2).expect("evict");
     let stat = c.stat(s2).expect("stat evicted");
     assert_eq!(stat.get("state").and_then(Json::as_str), Some("evicted"));

@@ -373,7 +373,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// The single accessor behind which every seeded random source exposes
 /// its state for checkpointing.
 ///
-/// Implementors: the `disc-stoch` [`Sampler`] (xoshiro256++ core state)
+/// Implementors: the `disc-stoch` `Sampler` (xoshiro256++ core state)
 /// and the `disc-faults` injector (whose "RNG" is a stateless
 /// splitmix64 decision hash — its only replayable state is the cycle
 /// cursor). A snapshot producer calls [`rng_state`](Self::rng_state) and

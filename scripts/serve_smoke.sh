@@ -35,7 +35,11 @@ import json, socket, sys
 addr = sys.argv[1]
 host, port = addr.rsplit(":", 1)
 
-PROGRAM = """
+BOARD = '''
+name = "smoke"
+
+[program]
+source = """
     .stream 0, main
 main:
     ldi r0, 250
@@ -45,6 +49,7 @@ loop:
     sta r0, 0x20
     halt
 """
+'''
 
 sock = socket.create_connection((host, int(port)), timeout=30)
 rd = sock.makefile("r")
@@ -71,10 +76,11 @@ def request(obj):
 
 events = []
 hello = recv()
-assert hello["event"] == "hello" and hello["proto"] == "disc-serve/v1", hello
+assert hello["event"] == "hello" and hello["proto"] == "disc-serve/v2", hello
 
-ack = request({"id": 1, "verb": "create", "program": PROGRAM,
+ack = request({"id": 1, "verb": "create", "board": BOARD,
                "sample_every": 64, "trace": False})
+assert ack["board"] == "smoke", ack
 session = ack["session"]
 request({"id": 2, "verb": "run", "session": session, "cycles": 100000})
 
