@@ -1,6 +1,6 @@
 # Convenience targets for the DISC reproduction.
 
-.PHONY: all test bench-gate profile repro repro-quick soak boards-check serve serve-smoke fuzz fuzz-long reports docs clippy examples clean
+.PHONY: all test bench-gate profile repro repro-quick soak serve serve-smoke fuzz fuzz-long reports docs clippy examples clean
 
 all: test
 
@@ -51,13 +51,6 @@ repro-quick:
 # on any isolation-invariant violation; DISC_JOBS caps the fan-out.
 soak:
 	cargo run --release -p disc-bench --bin soak
-
-# Board catalog gate: every committed boards/*.board file must parse,
-# build its machine, and complete a smoke run (see README "Boards" and
-# the EXPERIMENTS.md board-file grammar). Exit 1 names the offending
-# file and source line.
-boards-check:
-	cargo run --release -p disc-bench --bin boards_check
 
 # Run the session server interactively on the default port (see README
 # "Service" for the wire protocol).

@@ -212,7 +212,9 @@ fn dma_copy_2s_moves_words_and_stalls_streams() {
 #[test]
 fn every_committed_board_parses_and_builds() {
     // The whole catalog, including boards no matrix test above names,
-    // must parse, build and make progress.
+    // must parse, build and survive a smoke run long enough for every
+    // board to reach steady state (timers fire, fault windows open,
+    // packet bursts arrive).
     let mut seen = 0;
     for entry in std::fs::read_dir(disc_bench::BOARDS_DIR).expect("boards/ exists") {
         let path = entry.expect("dir entry").path();
@@ -226,7 +228,7 @@ fn every_committed_board_parses_and_builds() {
         let mut m = board
             .machine()
             .unwrap_or_else(|e| panic!("{} builds: {e}", path.display()));
-        m.run(256)
+        m.run(4096)
             .unwrap_or_else(|e| panic!("{} runs: {e:?}", path.display()));
         assert!(m.stats().cycles > 0, "{} made no progress", path.display());
     }

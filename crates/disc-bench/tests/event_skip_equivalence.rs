@@ -238,7 +238,7 @@ fn uart_storm_overflow_counts_match_across_step_and_dispatch_modes() {
 
     let run = |step: StepMode, dispatch: DispatchMode| {
         let uart = Shared::new(Uart::new(30).with_irq(1, 5).with_rx_capacity(4));
-        uart.borrow_mut().feed(5, words.clone());
+        uart.borrow().feed(5, words.clone());
         let mut bus = PeripheralBus::new();
         bus.map(0xb000, Uart::REGS, Box::new(uart.handle()))
             .expect("map uart");

@@ -71,14 +71,10 @@ impl Peripheral for Actuator {
         });
     }
 
-    fn tick(&mut self, _irqs: &mut Vec<IrqRequest>) {
-        self.cycle += 1;
-    }
-
-    // Ticks only advance the timestamp clock; that alone never needs to
+    // Time only moves the timestamp clock; that alone never needs to
     // bound a skip, but the clock must still move so command timestamps
-    // stay identical across step modes.
-    fn advance(&mut self, cycles: u64) {
+    // stay identical however the cycles are split.
+    fn advance(&mut self, cycles: u64, _irqs: &mut Vec<IrqRequest>) {
         self.cycle += cycles;
     }
 
@@ -129,11 +125,11 @@ mod tests {
         let mut a = Actuator::new(3);
         let mut irqs = Vec::new();
         for _ in 0..10 {
-            a.tick(&mut irqs);
+            a.advance(1, &mut irqs);
         }
         a.write(0, 42);
         for _ in 0..5 {
-            a.tick(&mut irqs);
+            a.advance(1, &mut irqs);
         }
         a.write(1, 43);
         assert_eq!(a.history().len(), 2);

@@ -11,15 +11,14 @@ use crate::shared::Shared;
 ///
 /// Addresses handed to a peripheral are *offsets* into its mapped window.
 ///
-/// Device time follows the machine's lazy rule (see
-/// [`DataBus`](disc_core::DataBus)): the bus is ticked only from its
-/// earliest [`next_event`](Peripheral::next_event) on, and the quiet
-/// cycles before that reach every device as one
-/// [`advance`](Peripheral::advance), settled before the machine next
+/// Device time has one primitive, [`advance`](Peripheral::advance). The
+/// bus steps every device one cycle at a time from the bus's earliest
+/// [`next_event`](Peripheral::next_event) on, and the quiet cycles before
+/// that reach it as one bulk `advance`, settled before the machine next
 /// calls `latency`, `read`, `write` or `next_event` and before a public
-/// `step`/`run` returns. A device therefore always sees its own clock
-/// current when it is accessed, but may not count on one `tick` per
-/// cycle.
+/// `step`/`run` returns (see [`DataBus`](disc_core::DataBus)). A device
+/// therefore always sees its own clock current when it is accessed, but
+/// may not count on any particular split of its cycles into calls.
 pub trait Peripheral: Send {
     /// Access latency in cycles for `offset`; devices model their
     /// conversion/transfer times here (the whole point of the asynchronous
@@ -34,39 +33,32 @@ pub trait Peripheral: Send {
     /// completion).
     fn write(&mut self, offset: u16, value: u16);
 
-    /// Advances one machine cycle; devices push interrupt requests. Called
-    /// only on cycles at or after the bus's next event; quiet cycles come
-    /// through [`advance`](Peripheral::advance) instead.
-    fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
-        let _ = irqs;
-    }
-
-    /// Earliest absolute machine cycle `>= now` at which a
-    /// [`tick`](Peripheral::tick) may produce an observable effect, or `None`
-    /// when no future tick can. Mirrors
-    /// [`DataBus::next_event`](disc_core::DataBus::next_event): the tick
-    /// during the machine step starting at cycle `now` counts as
-    /// happening *at* `now`, `now` is always the device's own current
-    /// cycle, and the caller never advances past the returned cycle. The
-    /// machine asks again after every bus tick, read or write and whenever
-    /// the host may have touched the device, so the answer only has to
-    /// hold until then.
+    /// Earliest absolute machine cycle `>= now` whose step may produce an
+    /// observable effect (an interrupt request, a state change visible
+    /// through [`read`](Peripheral::read), or a latency change), or `None`
+    /// when no future step can. Mirrors
+    /// [`DataBus::next_event`](disc_core::DataBus::next_event): the step
+    /// during the machine cycle starting at `now` counts as happening *at*
+    /// `now`, `now` is always the device's own current cycle, and the
+    /// caller never advances past the returned cycle. The machine asks
+    /// again after every event, read or write and whenever the host may
+    /// have touched the device, so the answer only has to hold until then.
+    /// An early answer is always safe.
     ///
-    /// The default (`None`) is only sound for devices whose `tick` is a
-    /// no-op; any device overriding `tick` must override `next_event` and
-    /// [`advance`](Peripheral::advance) together.
+    /// The default (`None`) is only sound for devices without a clock;
+    /// any device overriding [`advance`](Peripheral::advance) must
+    /// override `next_event` too.
     fn next_event(&self, now: u64) -> Option<u64> {
         let _ = now;
         None
     }
 
-    /// Advances device-internal time by `cycles` machine cycles in one
-    /// step, exactly equivalent to that many [`tick`](Peripheral::tick)
-    /// calls *given* the caller's guarantee that the skipped stretch ends
-    /// strictly before [`next_event`](Peripheral::next_event). This is how
-    /// the owed quiet cycles are paid before the device is next accessed.
-    fn advance(&mut self, cycles: u64) {
-        let _ = cycles;
+    /// Advances device time by `cycles` machine cycles. The caller
+    /// guarantees that only the last of them may reach
+    /// [`next_event`](Peripheral::next_event); an event there runs and
+    /// pushes its interrupt requests into `irqs`.
+    fn advance(&mut self, cycles: u64, irqs: &mut Vec<IrqRequest>) {
+        let _ = (cycles, irqs);
     }
 
     /// Serializes the device's mutable state as an opaque `disc-snap/v2`
@@ -97,6 +89,25 @@ pub trait Peripheral: Send {
             ))
         }
     }
+}
+
+/// The cycle on which a countdown with `remaining` cycles left, asked at
+/// `now`, reaches zero: the event runs on the cycle that drains it.
+pub(crate) fn due(now: u64, remaining: u32) -> u64 {
+    now + u64::from(remaining.max(1)) - 1
+}
+
+/// Counts `counter` down by `cycles` and reports whether it reached zero.
+/// Only the last of the cycles may reach the event, the rule of
+/// [`Peripheral::advance`].
+#[track_caller]
+pub(crate) fn count_down(counter: &mut u32, cycles: u64) -> bool {
+    debug_assert!(
+        cycles <= u64::from(*counter),
+        "advance({cycles}) passes an event due in {counter} cycles"
+    );
+    *counter -= cycles as u32;
+    *counter == 0
 }
 
 /// Error returned by [`PeripheralBus::map`] on overlapping or empty
@@ -216,6 +227,14 @@ impl PeripheralBus {
         self.unmapped_accesses
     }
 
+    /// Advances every device by `cycles`, the one path of device time
+    /// behind both [`DataBus::tick`] and [`DataBus::advance`].
+    fn step_devices(&mut self, cycles: u64, irqs: &mut Vec<IrqRequest>) {
+        for m in &mut self.mappings {
+            m.device.advance(cycles, irqs);
+        }
+    }
+
     /// Sum of the arbitration penalties of all mid-transfer bus masters.
     fn master_stall(&self) -> u32 {
         self.masters.iter().map(|m| m.borrow().stall()).sum()
@@ -266,16 +285,14 @@ impl DataBus for PeripheralBus {
     }
 
     fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
-        for m in &mut self.mappings {
-            m.device.tick(irqs);
-        }
-        // Service bus masters after every device has ticked, so a word
+        self.step_devices(1, irqs);
+        // Service bus masters after every device has stepped, so a word
         // that fell due this cycle moves this cycle. The engine lock is
         // released before routing: the read/write below may well decode
         // back into the engine's own register window.
         for i in 0..self.masters.len() {
-            let due = self.masters[i].borrow_mut().take_due_word();
-            if let Some((src, dst)) = due {
+            let word = self.masters[i].borrow().take_due_word();
+            if let Some((src, dst)) = word {
                 let value = self.read(src);
                 self.write(dst, value);
             }
@@ -290,9 +307,9 @@ impl DataBus for PeripheralBus {
     }
 
     fn advance(&mut self, cycles: u64) {
-        for m in &mut self.mappings {
-            m.device.advance(cycles);
-        }
+        let mut irqs = Vec::new();
+        self.step_devices(cycles, &mut irqs);
+        debug_assert!(irqs.is_empty(), "advance({cycles}) reached an event");
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -517,7 +534,7 @@ mod tests {
         }
         // Idle engine: plain device latency.
         assert_eq!(bus.latency(0x8000, false), Some(2));
-        dma.borrow_mut().start(0x8000, 0x8010, 4);
+        dma.borrow().start(0x8000, 0x8010, 4);
         // Mid-transfer: every mapped access pays the arbitration stall.
         assert_eq!(bus.latency(0x8000, false), Some(4));
         assert_eq!(bus.latency(0xa000, false), Some(3));
@@ -548,7 +565,7 @@ mod tests {
         for i in 0..8u16 {
             DataBus::write(&mut bus, 0x8000 + i, i * 3);
         }
-        dma.borrow_mut().start(0x8000, 0x8020, 8);
+        dma.borrow().start(0x8000, 0x8020, 8);
         let mut irqs = Vec::new();
         for _ in 0..7 {
             DataBus::tick(&mut bus, &mut irqs);

@@ -19,7 +19,7 @@
 
 use disc_core::IrqRequest;
 
-use crate::bus::Peripheral;
+use crate::bus::{count_down, due, Peripheral};
 
 /// Register map of the [`DmaEngine`].
 ///
@@ -91,19 +91,12 @@ impl DmaEngine {
         self
     }
 
-    /// Programs and starts a transfer from host code (equivalent to
-    /// writing `SRC`, `DST`, `COUNT`, then `CTRL`).
+    /// Programs and starts a transfer from host code: writes `SRC`, `DST`,
+    /// `COUNT`, then `CTRL`, so on a busy engine only `SRC` and `DST`
+    /// change.
     pub fn start(&mut self, src: u16, dst: u16, count: u16) {
-        self.src = src;
-        self.dst = dst;
-        self.count = count;
-        self.kick();
-    }
-
-    fn kick(&mut self) {
-        if self.count > 0 {
-            self.busy = true;
-            self.countdown = self.word_latency;
+        for (offset, value) in [(0, src), (1, dst), (2, count), (3, 1)] {
+            self.write(offset, value);
         }
     }
 
@@ -135,8 +128,8 @@ impl DmaEngine {
     /// Takes the word transfer that fell due this cycle, if any: the bus
     /// reads the returned source address and writes the value to the
     /// returned destination. Called by
-    /// [`PeripheralBus::tick`](disc_core::DataBus::tick) after device
-    /// ticks.
+    /// [`PeripheralBus::tick`](disc_core::DataBus::tick) after every
+    /// device has stepped.
     pub fn take_due_word(&mut self) -> Option<(u16, u16)> {
         if !self.pending {
             return None;
@@ -152,7 +145,7 @@ impl DmaEngine {
 
 impl Peripheral for DmaEngine {
     fn latency(&self, _offset: u16, _write: bool) -> u32 {
-        // Register file access; the per-word pacing lives in `tick`.
+        // Register file access; the per-word pacing lives in `advance`.
         1
     }
 
@@ -172,17 +165,23 @@ impl Peripheral for DmaEngine {
             0 => self.src = value,
             1 => self.dst = value,
             2 if !self.busy => self.count = value,
-            3 if value & 1 != 0 && !self.busy => self.kick(),
+            3 if value & 1 != 0 && !self.busy && self.count > 0 => {
+                self.busy = true;
+                self.countdown = self.word_latency;
+            }
             _ => {}
         }
     }
 
-    fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
+    fn next_event(&self, now: u64) -> Option<u64> {
+        self.busy.then(|| due(now, self.countdown))
+    }
+
+    fn advance(&mut self, cycles: u64, irqs: &mut Vec<IrqRequest>) {
         if !self.busy {
             return;
         }
-        self.countdown -= 1;
-        if self.countdown == 0 {
+        if count_down(&mut self.countdown, cycles) {
             self.pending = true;
             self.count -= 1;
             if self.count > 0 {
@@ -195,26 +194,6 @@ impl Peripheral for DmaEngine {
                 }
             }
         }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        if !self.busy {
-            return None;
-        }
-        // The next word falls due during the tick that zeroes `countdown`.
-        Some(now + u64::from(self.countdown.max(1)) - 1)
-    }
-
-    fn advance(&mut self, cycles: u64) {
-        if !self.busy || cycles == 0 {
-            return;
-        }
-        debug_assert!(
-            cycles < u64::from(self.countdown),
-            "advance({cycles}) would move a dma word with countdown {}",
-            self.countdown
-        );
-        self.countdown -= cycles as u32;
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -268,7 +247,7 @@ mod tests {
         let mut irqs = Vec::new();
         let mut moved = Vec::new();
         for _ in 0..12 {
-            d.tick(&mut irqs);
+            d.advance(1, &mut irqs);
             if let Some(pair) = d.take_due_word() {
                 moved.push(pair);
             }
@@ -285,7 +264,7 @@ mod tests {
         d.start(0, 8, 2);
         let mut irqs = Vec::new();
         for _ in 0..5 {
-            d.tick(&mut irqs);
+            d.advance(1, &mut irqs);
             let _ = d.take_due_word();
         }
         assert_eq!(irqs, [IrqRequest { stream: 2, bit: 6 }]);
@@ -301,8 +280,8 @@ mod tests {
         d.write(3, 1);
         assert_eq!(d.read(3), 1);
         let mut irqs = Vec::new();
-        d.tick(&mut irqs);
-        d.tick(&mut irqs);
+        d.advance(1, &mut irqs);
+        d.advance(1, &mut irqs);
         assert_eq!(d.take_due_word(), Some((0x10, 0x20)));
         assert_eq!(d.read(4), 1);
     }
@@ -316,7 +295,7 @@ mod tests {
         let mut irqs = Vec::new();
         let mut moved = 0;
         for _ in 0..12 {
-            d.tick(&mut irqs);
+            d.advance(1, &mut irqs);
             moved += usize::from(d.take_due_word().is_some());
         }
         assert_eq!(moved, 4, "the transfer runs to its programmed length");
@@ -326,6 +305,26 @@ mod tests {
         // Idle again, COUNT is writable.
         d.write(2, 2);
         assert_eq!(d.read(2), 2);
+    }
+
+    #[test]
+    fn host_start_while_busy_is_a_register_write() {
+        let mut d = DmaEngine::new(2);
+        d.start(0x10, 0x20, 3);
+        let mut irqs = Vec::new();
+        d.advance(1, &mut irqs);
+        // Like the register writes it stands for: SRC and DST move, COUNT
+        // and the kick are ignored mid-transfer.
+        d.start(0x30, 0x40, 0);
+        assert_eq!(d.read(2), 3, "COUNT is read-only mid-transfer");
+        let mut moved = Vec::new();
+        for _ in 0..8 {
+            d.advance(1, &mut irqs);
+            moved.extend(d.take_due_word());
+        }
+        assert_eq!(moved, [(0x30, 0x40), (0x31, 0x41), (0x32, 0x42)]);
+        assert!(!d.busy());
+        assert_eq!(d.done(), 1);
     }
 
     #[test]
@@ -342,7 +341,7 @@ mod tests {
         assert_eq!(d.next_event(100), None);
         d.start(0, 1, 2);
         assert_eq!(d.next_event(100), Some(104));
-        d.advance(3);
+        d.advance(3, &mut Vec::new());
         assert_eq!(d.next_event(103), Some(104));
     }
 
@@ -352,7 +351,7 @@ mod tests {
         d.start(0x40, 0x80, 4);
         let mut irqs = Vec::new();
         for _ in 0..5 {
-            d.tick(&mut irqs);
+            d.advance(1, &mut irqs);
             let _ = d.take_due_word();
         }
         let state = d.save_state();

@@ -10,7 +10,8 @@
 //! * [`PeripheralBus`] — an address-decoded composition of peripherals that
 //!   plugs into [`disc_core::Machine::with_bus`];
 //! * [`Peripheral`] — the device trait (per-address latency, read/write,
-//!   per-cycle tick with interrupt lines);
+//!   and one clock: `next_event` plus a bulk `advance` that raises the
+//!   interrupt lines);
 //! * device models with realistically divergent access times:
 //!   [`ExtRam`] (external memory, the paper's `tmem`), [`Timer`]
 //!   (programmable periodic/one-shot interrupt source — the substrate for
@@ -21,7 +22,7 @@
 //!   streams), [`BlockStorage`] (command/status/data block device with
 //!   per-op latency) and [`PacketPort`] (seeded bursty Poisson arrivals
 //!   on a bounded FIFO);
-//! * [`Shared`] — an `Rc<RefCell<…>>` wrapper so test/host code keeps a
+//! * [`Shared`] — an `Arc<Mutex<…>>` wrapper so test/host code keeps a
 //!   handle on a device after moving the bus into the machine.
 //!
 //! # Example

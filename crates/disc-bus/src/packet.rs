@@ -18,7 +18,7 @@ use disc_core::IrqRequest;
 use disc_snap::ReplayableRng;
 use disc_stoch::Sampler;
 
-use crate::bus::Peripheral;
+use crate::bus::{count_down, due, Peripheral};
 
 /// Register map of the [`PacketPort`].
 ///
@@ -145,9 +145,14 @@ impl Peripheral for PacketPort {
         // The port is receive-only.
     }
 
-    fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
-        self.countdown -= 1;
-        if self.countdown > 0 {
+    fn next_event(&self, now: u64) -> Option<u64> {
+        // Every arrival instant advances the sampler even when the drawn
+        // burst is empty, so skips must never pass one.
+        Some(due(now, self.countdown))
+    }
+
+    fn advance(&mut self, cycles: u64, irqs: &mut Vec<IrqRequest>) {
+        if !count_down(&mut self.countdown, cycles) {
             return;
         }
         self.countdown = self.interval;
@@ -166,24 +171,6 @@ impl Peripheral for PacketPort {
                 irqs.push(IrqRequest { stream, bit });
             }
         }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // Every arrival instant advances the sampler even when the drawn
-        // burst is empty, so skips must never pass one.
-        Some(now + u64::from(self.countdown.max(1)) - 1)
-    }
-
-    fn advance(&mut self, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
-        debug_assert!(
-            cycles < u64::from(self.countdown),
-            "advance({cycles}) would pass a packet arrival with countdown {}",
-            self.countdown
-        );
-        self.countdown -= cycles as u32;
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -242,7 +229,7 @@ mod tests {
     fn run(p: &mut PacketPort, cycles: u32) -> Vec<IrqRequest> {
         let mut irqs = Vec::new();
         for _ in 0..cycles {
-            p.tick(&mut irqs);
+            p.advance(1, &mut irqs);
         }
         irqs
     }

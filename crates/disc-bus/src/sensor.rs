@@ -12,7 +12,7 @@
 
 use disc_core::IrqRequest;
 
-use crate::bus::Peripheral;
+use crate::bus::{count_down, due, Peripheral};
 
 /// Register map: offset 0 = `DATA` (current sample), offset 1 = `SEQ`
 /// (sample sequence number).
@@ -123,9 +123,14 @@ impl Peripheral for SensorPort {
         // Sensor registers are read-only.
     }
 
-    fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
-        self.countdown -= 1;
-        if self.countdown == 0 {
+    fn next_event(&self, now: u64) -> Option<u64> {
+        // Sampling mutates DATA/SEQ even with no interrupt routed, so the
+        // next sample always bounds a skip.
+        Some(due(now, self.countdown))
+    }
+
+    fn advance(&mut self, cycles: u64, irqs: &mut Vec<IrqRequest>) {
+        if count_down(&mut self.countdown, cycles) {
             self.countdown = self.sample_period;
             self.seq = self.seq.wrapping_add(1);
             self.value = (self.generator)(self.seq);
@@ -133,24 +138,6 @@ impl Peripheral for SensorPort {
                 irqs.push(IrqRequest { stream, bit });
             }
         }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // Sampling mutates DATA/SEQ even with no interrupt routed, so the
-        // next sample always bounds a skip.
-        Some(now + u64::from(self.countdown.max(1)) - 1)
-    }
-
-    fn advance(&mut self, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
-        debug_assert!(
-            cycles < u64::from(self.countdown),
-            "advance({cycles}) would sample a sensor with countdown {}",
-            self.countdown
-        );
-        self.countdown -= cycles as u32;
     }
 
     // The generator closure itself cannot round-trip through bytes;
@@ -196,7 +183,7 @@ mod tests {
         let mut s = SensorPort::new(10, 30, |seq| seq * 2);
         let mut irqs = Vec::new();
         for _ in 0..25 {
-            s.tick(&mut irqs);
+            s.advance(1, &mut irqs);
         }
         assert_eq!(s.samples(), 2);
         assert_eq!(s.read(0), 4);
@@ -209,7 +196,7 @@ mod tests {
         let mut s = SensorPort::new(5, 30, |s| s).with_irq(3, 4);
         let mut irqs = Vec::new();
         for _ in 0..12 {
-            s.tick(&mut irqs);
+            s.advance(1, &mut irqs);
         }
         assert_eq!(irqs.len(), 2);
         assert_eq!(irqs[0], IrqRequest { stream: 3, bit: 4 });
@@ -221,7 +208,7 @@ mod tests {
         let mut irqs = Vec::new();
         let mut seen = Vec::new();
         for _ in 0..12 {
-            s.tick(&mut irqs);
+            s.advance(1, &mut irqs);
             seen.push(s.value());
         }
         assert_eq!(seen[..6], [1, 2, 3, 2, 1, 0]);
@@ -232,7 +219,7 @@ mod tests {
         let mut s = SensorPort::new(1, 0, |_| 7);
         s.write(0, 99);
         let mut irqs = Vec::new();
-        s.tick(&mut irqs);
+        s.advance(1, &mut irqs);
         assert_eq!(s.read(0), 7);
     }
 }

@@ -44,19 +44,12 @@ impl<T> Shared<T> {
         Shared(Arc::clone(&self.0))
     }
 
-    /// Locks and borrows the device.
+    /// Locks the device; the guard gives shared and mutable access.
     ///
     /// # Panics
     ///
     /// Panics if a previous holder of the lock panicked.
     pub fn borrow(&self) -> MutexGuard<'_, T> {
-        self.0.lock().expect("shared peripheral poisoned")
-    }
-
-    /// Locks and mutably borrows the device (same guard as
-    /// [`borrow`](Self::borrow); both names are kept so call sites read
-    /// like the interior-mutability wrapper this used to be).
-    pub fn borrow_mut(&self) -> MutexGuard<'_, T> {
         self.0.lock().expect("shared peripheral poisoned")
     }
 }
@@ -73,23 +66,19 @@ impl<T: Peripheral> Peripheral for Shared<T> {
     }
 
     fn read(&mut self, offset: u16) -> u16 {
-        self.borrow_mut().read(offset)
+        self.borrow().read(offset)
     }
 
     fn write(&mut self, offset: u16, value: u16) {
-        self.borrow_mut().write(offset, value)
-    }
-
-    fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
-        self.borrow_mut().tick(irqs)
+        self.borrow().write(offset, value)
     }
 
     fn next_event(&self, now: u64) -> Option<u64> {
         self.borrow().next_event(now)
     }
 
-    fn advance(&mut self, cycles: u64) {
-        self.borrow_mut().advance(cycles)
+    fn advance(&mut self, cycles: u64, irqs: &mut Vec<IrqRequest>) {
+        self.borrow().advance(cycles, irqs)
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -97,7 +86,7 @@ impl<T: Peripheral> Peripheral for Shared<T> {
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), disc_snap::SnapError> {
-        self.borrow_mut().restore_state(state)
+        self.borrow().restore_state(state)
     }
 }
 
@@ -125,7 +114,7 @@ mod tests {
         let mut mapped: Box<dyn Peripheral> = Box::new(shared.handle());
         mapped.write(0, 7);
         assert_eq!(shared.borrow().0, 7);
-        shared.borrow_mut().0 = 9;
+        shared.borrow().0 = 9;
         assert_eq!(mapped.read(0), 9);
     }
 

@@ -9,7 +9,7 @@
 
 use disc_core::IrqRequest;
 
-use crate::bus::Peripheral;
+use crate::bus::{count_down, due, Peripheral};
 
 /// Register map of the [`BlockStorage`] device.
 ///
@@ -178,12 +178,15 @@ impl Peripheral for BlockStorage {
         }
     }
 
-    fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
+    fn next_event(&self, now: u64) -> Option<u64> {
+        self.busy().then(|| due(now, self.countdown))
+    }
+
+    fn advance(&mut self, cycles: u64, irqs: &mut Vec<IrqRequest>) {
         if !self.busy() {
             return;
         }
-        self.countdown -= 1;
-        if self.countdown == 0 {
+        if count_down(&mut self.countdown, cycles) {
             let base = self.lba as usize * self.block_words as usize;
             let words = self.block_words as usize;
             if self.op == 1 {
@@ -198,26 +201,6 @@ impl Peripheral for BlockStorage {
                 irqs.push(IrqRequest { stream, bit });
             }
         }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        if !self.busy() {
-            return None;
-        }
-        // Completion happens during the tick that zeroes `countdown`.
-        Some(now + u64::from(self.countdown.max(1)) - 1)
-    }
-
-    fn advance(&mut self, cycles: u64) {
-        if !self.busy() || cycles == 0 {
-            return;
-        }
-        debug_assert!(
-            cycles < u64::from(self.countdown),
-            "advance({cycles}) would complete a storage op with countdown {}",
-            self.countdown
-        );
-        self.countdown -= cycles as u32;
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -283,7 +266,7 @@ mod tests {
     fn run(s: &mut BlockStorage, cycles: u32) -> Vec<IrqRequest> {
         let mut irqs = Vec::new();
         for _ in 0..cycles {
-            s.tick(&mut irqs);
+            s.advance(1, &mut irqs);
         }
         irqs
     }
@@ -343,7 +326,7 @@ mod tests {
         assert_eq!(s.next_event(50), None);
         s.write(0, 1);
         assert_eq!(s.next_event(50), Some(57));
-        s.advance(5);
+        s.advance(5, &mut Vec::new());
         assert_eq!(s.next_event(55), Some(57));
     }
 

@@ -7,7 +7,7 @@
 
 use disc_core::IrqRequest;
 
-use crate::bus::Peripheral;
+use crate::bus::{count_down, due, Peripheral};
 
 /// Register map of the [`Timer`].
 ///
@@ -102,45 +102,25 @@ impl Peripheral for Timer {
         }
     }
 
-    fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
+    fn next_event(&self, now: u64) -> Option<u64> {
+        self.enabled().then(|| due(now, self.count))
+    }
+
+    fn advance(&mut self, cycles: u64, irqs: &mut Vec<IrqRequest>) {
         if !self.enabled() {
             return;
         }
-        self.count -= 1;
-        if self.count == 0 {
+        if count_down(&mut self.count, cycles) {
             self.fires += 1;
             irqs.push(IrqRequest {
                 stream: self.stream,
                 bit: self.bit,
             });
-            if self.control & Self::CTRL_PERIODIC != 0 {
-                self.count = self.period;
-            } else {
+            if self.control & Self::CTRL_PERIODIC == 0 {
                 self.control &= !Self::CTRL_ENABLE;
-                self.count = self.period;
             }
+            self.count = self.period;
         }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        if !self.enabled() {
-            return None;
-        }
-        // `count` cycles of countdown remain; the fire happens during the
-        // tick that decrements it to zero.
-        Some(now + u64::from(self.count.max(1)) - 1)
-    }
-
-    fn advance(&mut self, cycles: u64) {
-        if !self.enabled() || cycles == 0 {
-            return;
-        }
-        debug_assert!(
-            cycles < u64::from(self.count),
-            "advance({cycles}) would fire a timer with count {}",
-            self.count
-        );
-        self.count -= cycles as u32;
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -181,7 +161,7 @@ mod tests {
     fn drain(t: &mut Timer, cycles: u32) -> Vec<IrqRequest> {
         let mut irqs = Vec::new();
         for _ in 0..cycles {
-            t.tick(&mut irqs);
+            t.advance(1, &mut irqs);
         }
         irqs
     }

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use disc_core::IrqRequest;
 
-use crate::bus::Peripheral;
+use crate::bus::{count_down, due, Peripheral};
 
 /// Register map of the [`Uart`].
 ///
@@ -81,9 +81,10 @@ impl Uart {
         self.rx_feed = Some((interval, interval, words.into(), 0));
     }
 
-    /// Pushes one word into RX immediately (raises the RX interrupt on
-    /// the next tick). Returns `false` — dropping the word and counting
-    /// an overflow — when the FIFO is full.
+    /// Pushes one word into RX immediately. A host push raises no
+    /// interrupt: only a word arriving from a [`feed`](Self::feed) does.
+    /// Returns `false` — dropping the word and counting an overflow —
+    /// when the FIFO is full.
     pub fn push_rx(&mut self, word: u16) -> bool {
         if self.rx.len() >= self.rx_capacity {
             self.rx_overflows += 1;
@@ -134,16 +135,23 @@ impl Peripheral for Uart {
         }
     }
 
-    fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
+    fn next_event(&self, now: u64) -> Option<u64> {
+        // Only an active RX feed makes future cycles observable.
+        if let Some((_, countdown, words, idx)) = &self.rx_feed {
+            if *idx < words.len() {
+                return Some(due(now, *countdown));
+            }
+        }
+        None
+    }
+
+    fn advance(&mut self, cycles: u64, irqs: &mut Vec<IrqRequest>) {
         let mut arrived = None;
         if let Some((interval, countdown, words, idx)) = &mut self.rx_feed {
-            if *idx < words.len() {
-                *countdown -= 1;
-                if *countdown == 0 {
-                    arrived = Some(words[*idx]);
-                    *idx += 1;
-                    *countdown = *interval;
-                }
+            if *idx < words.len() && count_down(countdown, cycles) {
+                arrived = Some(words[*idx]);
+                *idx += 1;
+                *countdown = *interval;
             }
         }
         // A word lost to a full FIFO never becomes rx-ready, so it raises
@@ -153,32 +161,6 @@ impl Peripheral for Uart {
                 if let Some((stream, bit)) = self.irq {
                     irqs.push(IrqRequest { stream, bit });
                 }
-            }
-        }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // Only an active RX feed makes future ticks observable; the word
-        // arrives during the tick that drains the countdown.
-        if let Some((_, countdown, words, idx)) = &self.rx_feed {
-            if *idx < words.len() {
-                return Some(now + u64::from((*countdown).max(1)) - 1);
-            }
-        }
-        None
-    }
-
-    fn advance(&mut self, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
-        if let Some((_, countdown, words, idx)) = &mut self.rx_feed {
-            if *idx < words.len() {
-                debug_assert!(
-                    cycles < u64::from(*countdown),
-                    "advance({cycles}) would deliver an RX word with countdown {countdown}"
-                );
-                *countdown -= cycles as u32;
             }
         }
     }
@@ -301,11 +283,28 @@ mod tests {
         u.feed(4, vec![10, 20]);
         let mut irqs = Vec::new();
         for _ in 0..20 {
-            u.tick(&mut irqs);
+            u.advance(1, &mut irqs);
         }
         assert_eq!(irqs.len(), 2);
         assert_eq!(u.rx_pending(), 2);
         assert_eq!(u.read(0), 10);
+    }
+
+    #[test]
+    fn host_push_raises_no_interrupt() {
+        let mut u = Uart::new(1).with_irq(0, 3);
+        u.feed(50, vec![9]);
+        let due = u.next_event(0);
+        assert!(u.push_rx(7));
+        assert_eq!(u.next_event(0), due, "a push schedules nothing");
+        let mut irqs = Vec::new();
+        u.advance(10, &mut irqs);
+        for _ in 0..5 {
+            u.advance(1, &mut irqs);
+        }
+        assert!(irqs.is_empty(), "pushed word interrupted: {irqs:?}");
+        assert_eq!(u.next_event(15), due, "the feed's word is still due");
+        assert_eq!(u.rx_pending(), 1);
     }
 
     #[test]
@@ -328,7 +327,7 @@ mod tests {
         u.feed(2, (0..8).collect::<Vec<u16>>());
         let mut irqs = Vec::new();
         for _ in 0..20 {
-            u.tick(&mut irqs);
+            u.advance(1, &mut irqs);
         }
         assert_eq!(u.rx_pending(), 3, "FIFO capped at capacity");
         assert_eq!(u.rx_overflows(), 5);

@@ -9,7 +9,7 @@
 
 use disc_core::IrqRequest;
 
-use crate::bus::Peripheral;
+use crate::bus::{count_down, due, Peripheral};
 
 /// Register map: offset 0 = `KICK` (write any value to reset the
 /// countdown), offset 1 = `COUNT` (cycles until bite, read-only),
@@ -78,9 +78,12 @@ impl Peripheral for Watchdog {
         }
     }
 
-    fn tick(&mut self, irqs: &mut Vec<IrqRequest>) {
-        self.count -= 1;
-        if self.count == 0 {
+    fn next_event(&self, now: u64) -> Option<u64> {
+        Some(due(now, self.count))
+    }
+
+    fn advance(&mut self, cycles: u64, irqs: &mut Vec<IrqRequest>) {
+        if count_down(&mut self.count, cycles) {
             self.bites += 1;
             self.count = self.timeout;
             irqs.push(IrqRequest {
@@ -88,23 +91,6 @@ impl Peripheral for Watchdog {
                 bit: self.bit,
             });
         }
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        // The bite happens during the tick that drains the countdown.
-        Some(now + u64::from(self.count.max(1)) - 1)
-    }
-
-    fn advance(&mut self, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
-        debug_assert!(
-            cycles < u64::from(self.count),
-            "advance({cycles}) would bite a watchdog with count {}",
-            self.count
-        );
-        self.count -= cycles as u32;
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -148,7 +134,7 @@ mod tests {
         let mut w = Watchdog::new(10, 2, 7);
         let mut irqs = Vec::new();
         for _ in 0..25 {
-            w.tick(&mut irqs);
+            w.advance(1, &mut irqs);
         }
         assert_eq!(w.bites(), 2);
         assert_eq!(irqs.len(), 2);
@@ -163,7 +149,7 @@ mod tests {
             if i % 5 == 0 {
                 w.write(0, 1);
             }
-            w.tick(&mut irqs);
+            w.advance(1, &mut irqs);
         }
         assert_eq!(w.bites(), 0, "regular kicks prevent bites");
         assert_eq!(w.kicks(), 20);
@@ -174,7 +160,7 @@ mod tests {
         let mut w = Watchdog::new(100, 0, 7);
         let mut irqs = Vec::new();
         for _ in 0..30 {
-            w.tick(&mut irqs);
+            w.advance(1, &mut irqs);
         }
         assert_eq!(w.read(1), 70);
         assert_eq!(w.read(2), 0);
@@ -187,15 +173,15 @@ mod tests {
         let mut w = Watchdog::new(10, 0, 7);
         let mut irqs = Vec::new();
         for _ in 0..10 {
-            w.tick(&mut irqs);
+            w.advance(1, &mut irqs);
         }
         assert_eq!(w.bites(), 1);
         assert_eq!(w.read(1), 10, "count reloaded right after the bite");
         for _ in 0..9 {
-            w.tick(&mut irqs);
+            w.advance(1, &mut irqs);
         }
         assert_eq!(w.bites(), 1, "second bite needs the full timeout");
-        w.tick(&mut irqs);
+        w.advance(1, &mut irqs);
         assert_eq!(w.bites(), 2);
     }
 
@@ -204,7 +190,7 @@ mod tests {
         let mut w = Watchdog::new(10, 0, 7);
         let mut irqs = Vec::new();
         for _ in 0..10 {
-            w.tick(&mut irqs);
+            w.advance(1, &mut irqs);
         }
         assert_eq!(w.bites(), 1, "firmware was wedged once");
         // Recovery handler kicks; from here on-time kicks keep it quiet.
@@ -212,7 +198,7 @@ mod tests {
             if i % 5 == 0 {
                 w.write(0, 0);
             }
-            w.tick(&mut irqs);
+            w.advance(1, &mut irqs);
         }
         assert_eq!(w.bites(), 1, "no further bites after recovery");
         assert_eq!(w.read(2), 1, "BITES register preserves the history");
@@ -223,11 +209,11 @@ mod tests {
         let mut w = Watchdog::new(10, 0, 7);
         let mut irqs = Vec::new();
         for _ in 0..9 {
-            w.tick(&mut irqs);
+            w.advance(1, &mut irqs);
         }
         assert_eq!(w.read(1), 1, "one cycle from biting");
         w.write(0, 0); // kick at the last possible moment
-        w.tick(&mut irqs);
+        w.advance(1, &mut irqs);
         assert_eq!(w.bites(), 0);
         assert_eq!(w.read(1), 9);
     }

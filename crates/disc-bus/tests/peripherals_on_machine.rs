@@ -140,7 +140,7 @@ fn uart_rx_interrupt_echoes_to_tx() {
     )
     .unwrap();
     let uart = Shared::new(Uart::new(6).with_irq(1, 5));
-    uart.borrow_mut().feed(60, vec![0x11, 0x22, 0x33]);
+    uart.borrow().feed(60, vec![0x11, 0x22, 0x33]);
     let mut bus = PeripheralBus::new();
     bus.map(0xb000, Uart::REGS, Box::new(uart.handle()))
         .unwrap();
@@ -181,7 +181,7 @@ fn uart_irq_storm_overflows_bounded_rx_without_wedging() {
     .unwrap();
     let words: Vec<u16> = (1..=40).collect();
     let uart = Shared::new(Uart::new(30).with_irq(1, 5).with_rx_capacity(4));
-    uart.borrow_mut().feed(5, words.clone());
+    uart.borrow().feed(5, words.clone());
     let mut bus = PeripheralBus::new();
     bus.map(0xb000, Uart::REGS, Box::new(uart.handle()))
         .unwrap();
@@ -355,12 +355,12 @@ fn host_edits_between_runs_land_on_schedule() {
                 .with_dispatch_mode(dispatch_mode);
             let mut m = Machine::with_bus(config, &program, Box::new(bus));
             for i in 0..4 {
-                ram.borrow_mut().poke(i, 0x40 + i);
+                ram.borrow().poke(i, 0x40 + i);
             }
             assert_eq!(m.run(500).unwrap(), Exit::CycleLimit);
-            dma.borrow_mut().start(0x8000, 0x8010, 4);
+            dma.borrow().start(0x8000, 0x8010, 4);
             assert_eq!(m.run(500).unwrap(), Exit::CycleLimit);
-            uart.borrow_mut().feed(40, vec![0x11, 0x22]);
+            uart.borrow().feed(40, vec![0x11, 0x22]);
             assert_eq!(m.run(500).unwrap(), Exit::CycleLimit);
 
             let what = format!("{step_mode:?}/{dispatch_mode:?}");

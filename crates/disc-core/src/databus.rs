@@ -14,7 +14,10 @@
 //! [`advance`](DataBus::advance) before the next call of any other bus
 //! method and before every public `step`/`run` returns. So every
 //! `latency`, `read`, `write` and `next_event` sees the bus exactly as a
-//! tick on every cycle would have left it.
+//! tick on every cycle would have left it. `disc-bus` devices keep that
+//! time with one primitive, a bulk `advance` whose last cycle may run an
+//! event; its `tests/time_contract.rs` drives each device both ways with
+//! the same seeded traffic and requires identical results.
 
 /// An interrupt request raised by a peripheral: set `bit` in the IR of
 /// `stream`.

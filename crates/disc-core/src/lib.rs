@@ -84,6 +84,6 @@ pub use stats::{
 pub use stream::{Flags, ServiceFrame, Stream, WaitState};
 pub use trace::{BusFaultKind, CycleRecord, StageSnapshot, Trace, TraceEvent, TraceSink};
 
-// Snapshot support (`disc-snap/v2`): [`Machine::snapshot`],
-// [`Machine::restore`] and [`Machine::fork`] speak these types.
+// Snapshot support (`disc-snap/v2`): [`Machine::snapshot`] and
+// [`Machine::restore`] speak these types.
 pub use disc_snap::{SnapError, SnapReader, SnapWriter, FORMAT as SNAP_FORMAT};

@@ -2443,8 +2443,7 @@ impl Machine {
     /// blobs taken under an incompatible configuration or a different
     /// program. The fingerprint deliberately excludes
     /// [`StepMode`]/[`DispatchMode`] — those knobs are timing-invisible,
-    /// so a snapshot taken under one mode restores under any other (the
-    /// basis of fork-per-mode differential fuzzing).
+    /// so a snapshot taken under one mode restores under any other.
     ///
     /// Snapshots capture state *between* cycles; call this only at a cycle
     /// boundary (never from inside a [`TraceSink`] callback).
@@ -2667,45 +2666,6 @@ impl Machine {
         self.bus_due = None;
         self.bus_owed = 0;
         Ok(())
-    }
-
-    /// Clones this machine's state into a fresh machine built with
-    /// `config` and `bus` — the general fork: `config` may differ in
-    /// step/dispatch mode (anything else fails the fingerprint check in
-    /// [`restore`](Self::restore)), and `bus` must be constructed
-    /// identically to this machine's bus so its serialized state applies.
-    ///
-    /// The fork shares no state with the original and carries no trace
-    /// sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] when `config` is timing-incompatible or `bus`
-    /// is of a different kind/construction than this machine's.
-    pub fn fork_with(
-        &self,
-        config: MachineConfig,
-        bus: Box<dyn DataBus>,
-    ) -> Result<Machine, SnapError> {
-        let snap = self.snapshot();
-        let mut fork = Machine::with_bus(config, &self.program, bus);
-        fork.restore(&snap)?;
-        Ok(fork)
-    }
-
-    /// Clones this machine into an independent copy with the same
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// The fork's bus is a fresh [`FlatBus`], so this only succeeds when
-    /// the original machine also runs on a `FlatBus` (the default of
-    /// [`Machine::new`]); machines on custom buses fork through
-    /// [`fork_with`](Self::fork_with) with an identically-built bus.
-    pub fn fork(&self) -> Result<Machine, SnapError> {
-        let config = self.config.clone();
-        let latency = config.default_ext_latency;
-        self.fork_with(config, Box::new(FlatBus::new(latency)))
     }
 }
 

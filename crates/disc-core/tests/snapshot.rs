@@ -73,7 +73,8 @@ fn fork_mid_run_stays_cycle_identical() {
     let mut original = Machine::new(MachineConfig::disc1(), &program);
     warm_up(&mut original, 40);
 
-    let mut fork = original.fork().expect("fork");
+    let mut fork = Machine::new(MachineConfig::disc1(), &program);
+    fork.restore(&original.snapshot()).expect("fork");
     assert_eq!(machine_digest(&original), machine_digest(&fork));
 
     let a = original.run(400).expect("original tail");
@@ -118,7 +119,8 @@ fn fork_across_step_and_dispatch_modes() {
         config.dispatch_mode = dispatch;
         let latency = config.default_ext_latency;
         let bus = Box::new(disc_core::FlatBus::new(latency));
-        let mut fork = warm.fork_with(config, bus).expect("cross-mode fork");
+        let mut fork = Machine::with_bus(config, &program, bus);
+        fork.restore(&warm.snapshot()).expect("cross-mode fork");
         let exit = fork.run(500).expect("fork tail");
         assert_eq!(exit, base_exit, "{step:?}/{dispatch:?}");
         assert_eq!(machine_digest(&fork), reference, "{step:?}/{dispatch:?}");
