@@ -7,34 +7,44 @@
 //! `--runs 1 --base-seed <seed>`.
 //!
 //! Usage: `soak [--runs N] [--horizon CYCLES] [--base-seed SEED]
-//! [--step-mode MODE] [--report PATH] [--board FILE]`
-//! (worker count follows `DISC_JOBS`). `--report` writes the campaign's
-//! schema-versioned run report JSON to PATH in addition to the stdout
-//! summary. `--step-mode` selects `cycle-by-cycle` (default) or
-//! `event-skip`; the campaign verdict must be identical either way.
+//! [--report PATH] [--board FILE]` (worker count follows `DISC_JOBS`).
+//! `--report` writes the campaign's schema-versioned run report JSON to
+//! PATH in addition to the stdout summary. A missing or malformed flag
+//! value, an unknown argument or `--runs 0` exits 2 with the usage on
+//! stderr.
 //!
 //! `--board FILE` switches the campaign to a declarative board: each run
 //! reseeds the board's `[[fault]]` plan (`Board::with_fault_seed`) and
 //! drives its `[program]` for the horizon, failing on any simulator
 //! fault; the first seed is re-run at the end and must replay
-//! byte-identically. Board campaigns take `--runs`, `--horizon`,
-//! `--base-seed` and `--step-mode`; the isolation invariants and
-//! `--report` apply only to the built-in task workload.
+//! byte-identically. Board campaigns take `--runs`, `--horizon` and
+//! `--base-seed`; the isolation invariants and `--report` apply only to
+//! the built-in task workload.
 
 use disc_board::Board;
-use disc_core::StepMode;
 use disc_rts::SoakConfig;
 
+const USAGE: &str = "usage: soak [--runs N] [--horizon CYCLES] [--base-seed SEED] \
+                     [--report PATH] [--board FILE]";
+
+/// Prints `problem` and the usage to stderr and exits 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("soak: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+fn value(args: &mut std::env::Args, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+}
+
 fn parse_u64(args: &mut std::env::Args, flag: &str) -> u64 {
-    let value = args
-        .next()
-        .unwrap_or_else(|| panic!("{flag} needs a value"));
-    let radix_stripped = value.strip_prefix("0x");
-    match radix_stripped {
+    let value = value(args, flag);
+    match value.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16),
         None => value.parse(),
     }
-    .unwrap_or_else(|e| panic!("bad {flag} value {value:?}: {e}"))
+    .unwrap_or_else(|e| usage_error(&format!("bad {flag} value {value:?}: {e}")))
 }
 
 /// One board-campaign run: drive the reseeded board for the horizon and
@@ -42,7 +52,7 @@ fn parse_u64(args: &mut std::env::Args, flag: &str) -> u64 {
 fn board_run(board: &Board, cfg: &SoakConfig, seed: u64) -> Result<(u64, u64, u64, u64), String> {
     let reseeded = board.clone().with_fault_seed(seed);
     let mut m = reseeded
-        .machine_with_modes(cfg.step_mode, reseeded.config.dispatch_mode)
+        .machine()
         .map_err(|e| format!("board rejected: {e}"))?;
     m.run(cfg.horizon)
         .map_err(|e| format!("simulator fault: {e}"))?;
@@ -153,43 +163,17 @@ fn main() {
             "--runs" | "--seeds" => cfg.runs = parse_u64(&mut args, &arg),
             "--horizon" => cfg.horizon = parse_u64(&mut args, &arg),
             "--base-seed" => cfg.base_seed = parse_u64(&mut args, &arg),
-            "--report" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--report needs a path"));
-                report_path = Some(std::path::PathBuf::from(value));
-            }
-            "--board" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--board needs a board-file path"));
-                board_path = Some(std::path::PathBuf::from(value));
-            }
-            "--step-mode" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--step-mode needs a value"));
-                cfg.step_mode = match value.as_str() {
-                    "cycle-by-cycle" => StepMode::CycleByCycle,
-                    "event-skip" => StepMode::EventSkip,
-                    other => panic!(
-                        "bad --step-mode value {other:?} (expected cycle-by-cycle or event-skip)"
-                    ),
-                };
-            }
+            "--report" => report_path = Some(value(&mut args, &arg).into()),
+            "--board" => board_path = Some(value(&mut args, &arg).into()),
             "--help" | "-h" => {
-                println!(
-                    "usage: soak [--runs N] [--horizon CYCLES] [--base-seed SEED] \
-                     [--step-mode cycle-by-cycle|event-skip] [--report PATH] \
-                     [--board FILE]"
-                );
+                println!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument {other:?} (try --help)");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
+    }
+    if cfg.runs == 0 {
+        usage_error("--runs must be at least 1");
     }
     eprintln!(
         "soak: {} runs x {} cycles, base seed {:#x}, {} jobs",
@@ -200,8 +184,7 @@ fn main() {
     );
     if let Some(path) = &board_path {
         if report_path.is_some() {
-            eprintln!("--board campaigns do not support --report (try --help)");
-            std::process::exit(2);
+            usage_error("--board campaigns do not support --report");
         }
         std::process::exit(run_board_campaign(path, &cfg));
     }

@@ -1,13 +1,12 @@
 //! Reproductions of the paper's figures on the cycle-accurate machine.
 
-use disc_core::{Machine, MachineConfig, StepMode};
+use disc_core::{Machine, MachineConfig};
 use disc_isa::Reg;
 
-/// The catalog machine `boards/<name>.board` under step mode `mode`.
-fn machine(name: &str, mode: StepMode) -> Machine {
-    let board = crate::board(name);
-    board
-        .machine_with_modes(mode, board.config.dispatch_mode)
+/// The catalog machine `boards/<name>.board`.
+fn machine(name: &str) -> Machine {
+    crate::board(name)
+        .machine()
         .unwrap_or_else(|e| panic!("{name}.board builds: {e}"))
 }
 
@@ -18,16 +17,9 @@ fn machine(name: &str, mode: StepMode) -> Machine {
 ///
 /// Panics if the catalog board fails to load, build or run (a bug).
 pub fn fig_3_1_interleaved_pipeline() -> String {
-    fig_3_1_with(StepMode::CycleByCycle)
-}
-
-/// [`fig_3_1_interleaved_pipeline`] under an explicit [`StepMode`]. The
-/// equivalence tests render every figure in both modes and require
-/// byte-identical text.
-pub fn fig_3_1_with(mode: StepMode) -> String {
     // An exact 5-slot sequence keeps consecutive slots on distinct
     // streams (a 16-slot table over 5 streams would double up).
-    let mut m = machine("fig_3_1", mode);
+    let mut m = machine("fig_3_1");
     // Warm the pipe, then trace a window.
     m.run(10).unwrap();
     m.trace_start(12);
@@ -54,15 +46,10 @@ pub fn fig_3_1_with(mode: StepMode) -> String {
 ///
 /// Panics if the catalog board fails to load, build or run (a bug).
 pub fn fig_3_2_jump() -> String {
-    fig_3_2_with(StepMode::CycleByCycle)
-}
-
-/// [`fig_3_2_jump`] under an explicit [`StepMode`].
-pub fn fig_3_2_with(mode: StepMode) -> String {
     // The five-stream half is the figure 3.1 machine: the same loop on
     // the same pipe and sequence table.
     let run_with = |name: &str| {
-        let mut m = machine(name, mode);
+        let mut m = machine(name);
         m.run(400).unwrap();
         let st = m.stats();
         (st.flushed_jump, st.utilization())
@@ -87,12 +74,7 @@ pub fn fig_3_2_with(mode: StepMode) -> String {
 ///
 /// Panics if the catalog board fails to load, build or run (a bug).
 pub fn fig_3_3_dynamic() -> String {
-    fig_3_3_with(StepMode::CycleByCycle)
-}
-
-/// [`fig_3_3_dynamic`] under an explicit [`StepMode`].
-pub fn fig_3_3_with(mode: StepMode) -> String {
-    let mut m = machine("fig_3_3", mode);
+    let mut m = machine("fig_3_3");
 
     let mut out = String::from(
         "Figure 3.3 - Dynamic Instruction Stream Diagram\n\
@@ -135,14 +117,7 @@ pub fn fig_3_3_with(mode: StepMode) -> String {
 ///
 /// Panics if the catalog board fails to load, build or run (a bug).
 pub fn fig_3_4_stack_window() -> String {
-    fig_3_4_with(StepMode::CycleByCycle)
-}
-
-/// [`fig_3_4_stack_window`] under an explicit [`StepMode`]. This figure
-/// single-steps the machine, where skipping never engages; the knob
-/// still exercises the mode plumbing.
-pub fn fig_3_4_with(mode: StepMode) -> String {
-    let mut m = machine("fig_3_4", mode);
+    let mut m = machine("fig_3_4");
     let mut out = String::from(
         "Figures 3.4/3.5 - Stack Window Movements\n\n\
          cycle  AWP  event\n",

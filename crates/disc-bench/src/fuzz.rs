@@ -19,7 +19,11 @@
 //! The same check ([`compare`]) then holds every step × dispatch
 //! combination ([`MODE_COMBOS`]) to that result twice: once run fresh
 //! from cycle 0, and once split at a seed-derived cycle strictly inside
-//! the run, snapshotted, restored into a new machine and run to the end.
+//! the run, snapshotted, restored into a new machine and run to the end
+//! (the head machine, run on past the split, must end the same way).
+//! That second half is [`check_modes`], the repository's one
+//! mode-equivalence check: the `equivalence` test suite holds every
+//! board row to it as well, with host interrupts fed by [`drive`].
 //!
 //! On mismatch, [`minimize`] nops out instructions to a fixed point while
 //! preserving the divergence, so regressions land as one-line seeds plus
@@ -30,8 +34,8 @@ use std::fmt::Write as _;
 
 use disc_board::Board;
 use disc_core::{
-    CycleRecord, DispatchMode, Exit, Machine, MachineConfig, SchedulePolicy, StepMode, TraceEvent,
-    TraceSink,
+    CycleRecord, DispatchMode, Exit, Machine, MachineConfig, SchedulePolicy, SimError, StepMode,
+    TraceEvent, TraceSink,
 };
 use disc_isa::{encode::encode, AluImmOp, AluOp, AwpMode, Cond, Instruction, Program, Reg};
 use disc_ref::{RefConfig, RefExit, RefMachine};
@@ -890,14 +894,11 @@ fn split_point(seed: u64, cycles: u64) -> Option<u64> {
 ///    with a retire-log sink runs to completion; its exit, retire order
 ///    and final architectural state must match the `disc-ref`
 ///    interpreter's.
-/// 2. **Fresh runs.** For each [`MODE_COMBOS`] entry, a new sink-free
-///    machine (so event skip and superblock bursts can engage) runs from
-///    cycle 0 and must reach the base's exit and final state, statistics
-///    included ([`diff_machines`]).
-/// 3. **Split runs.** For each combo, a machine runs to a seed-derived
-///    cycle strictly inside the base run, is snapshotted and restored
-///    into a new machine of the same combo, which runs to the end; its
-///    exit and final snapshot bytes must equal the fresh run's.
+/// 2. **Every combo, fresh and split.** [`check_modes`] holds every
+///    [`MODE_COMBOS`] entry to the base run: sink-free machines (so event
+///    skip and superblock bursts can engage) run fresh from cycle 0, and
+///    split at a seed-derived cycle strictly inside the base run,
+///    snapshotted and restored into a new machine.
 pub fn compare_with_budget(
     gp: &GenProgram,
     machine_cycles: u64,
@@ -938,7 +939,6 @@ pub fn compare_with_budget(
     }
 
     let ext_addrs = ext_addr_set(gp, &reference);
-    let internal_len = reference.internal_len() as u16;
     diff_against_reference(
         &mut machine,
         &retire_log,
@@ -948,53 +948,22 @@ pub fn compare_with_budget(
         &mut details,
     );
 
-    let split_at = split_point(gp.seed, cycles);
     let mut tail_cycles = [0; MODE_COMBOS.len()];
-    for ((step, dispatch), tail) in MODE_COMBOS.into_iter().zip(&mut tail_cycles) {
-        let cfg = machine_config(gp, step, dispatch);
-        let mut fresh = build_machine(gp, cfg.clone());
-        let f_exit = fresh.run(machine_cycles);
-        if f_exit != m_exit {
-            details.push(format!(
-                "{step:?}/{dispatch:?} fresh: exit {f_exit:?} vs base {m_exit:?}"
-            ));
-        }
-        if let Some(at) = split_at {
-            let label = format!("{step:?}/{dispatch:?} split at cycle {at}");
-            let mut head = build_machine(gp, cfg.clone());
-            let head_exit = head.run(at);
-            let mut restored = build_machine(gp, cfg);
-            if head_exit != Ok(Exit::CycleLimit) || head.cycle() != at {
-                details.push(format!(
-                    "{label}: head run ended {head_exit:?} at cycle {}",
-                    head.cycle()
-                ));
-            } else if let Err(e) = restored.restore(&head.snapshot()) {
-                details.push(format!("{label}: restore failed: {e}"));
-            } else {
-                let s_exit = restored.run(machine_cycles - at);
-                *tail = restored.cycle() - at;
-                if s_exit != f_exit {
-                    details.push(format!("{label}: exit {s_exit:?} vs fresh {f_exit:?}"));
-                }
-                // Before `diff_machines`, whose bus reads move
-                // snapshot-visible state.
-                if restored.snapshot() != fresh.snapshot() {
-                    details.push(format!(
-                        "{label}: final snapshot differs from the fresh run's"
-                    ));
-                }
+    match check_modes(
+        |step, dispatch| build_machine(gp, machine_config(gp, step, dispatch)),
+        &[],
+        machine_cycles,
+        split_point(gp.seed, cycles),
+        &mut machine,
+        &m_exit,
+        &ext_addrs,
+    ) {
+        Ok(runs) => {
+            for (tail, run) in tail_cycles.iter_mut().zip(&runs) {
+                *tail = run.tail_cycles;
             }
         }
-        diff_machines(
-            &format!("{step:?}/{dispatch:?} fresh"),
-            &mut machine,
-            &mut fresh,
-            gp.streams,
-            internal_len,
-            &ext_addrs,
-            &mut details,
-        );
+        Err(mode_details) => details.extend(mode_details),
     }
 
     if details.is_empty() {
@@ -1298,6 +1267,160 @@ pub fn diff_machines(
     }
 }
 
+/// Advances `m` to absolute cycle `end`, raising each `(cycle, stream,
+/// bit)` host interrupt of `irqs` exactly when the machine reaches its
+/// cycle. Returns `Ok(Exit::CycleLimit)` once `m` is at `end`, else the
+/// exit that stopped it earlier (halt, all idle, breakpoint or a
+/// simulator error). Because `irqs` is keyed by absolute cycle, where a
+/// caller cuts its `drive` calls does not change the run.
+pub fn drive(m: &mut Machine, end: u64, irqs: &[(u64, usize, u8)]) -> Result<Exit, SimError> {
+    loop {
+        let now = m.cycle();
+        if now >= end {
+            return Ok(Exit::CycleLimit);
+        }
+        for &(cycle, stream, bit) in irqs {
+            if cycle == now {
+                m.raise_interrupt(stream, bit);
+            }
+        }
+        let next = irqs
+            .iter()
+            .map(|&(cycle, _, _)| cycle)
+            .filter(|&cycle| cycle > now && cycle < end)
+            .min()
+            .unwrap_or(end);
+        match m.run(next - now)? {
+            Exit::CycleLimit => {}
+            exit => return Ok(exit),
+        }
+    }
+}
+
+/// One [`MODE_COMBOS`] entry's runs in [`check_modes`].
+pub struct ModeRun {
+    /// The combo's step mode.
+    pub step: StepMode,
+    /// The combo's dispatch mode.
+    pub dispatch: DispatchMode,
+    /// The machine [`drive`]n fresh from cycle 0 to the end.
+    pub fresh: Machine,
+    /// Cycles the split-and-restored machine ran after its restore (0
+    /// without a split).
+    pub tail_cycles: u64,
+}
+
+/// The one mode-equivalence check: quiescence skips, superblock bursts
+/// and snapshot/restore must not change what a run computes.
+///
+/// `base` was [`drive`]n to `end` under `irqs` and exited `base_exit`.
+/// For every [`MODE_COMBOS`] entry, `build` makes
+///
+/// 1. a fresh machine, driven from cycle 0 to `end`: it must exit
+///    `base_exit` and end [`diff_machines`]-equal to `base` (external
+///    memory compared at `ext_addrs`);
+/// 2. with `split_at`, a head machine driven to that cycle, which it
+///    must reach by cycle limit (cycle 0 is no split): the split lies
+///    strictly inside the run. Its snapshot is restored into a new
+///    machine, which must snapshot back to the same bytes, run at least
+///    one more cycle on its way to `end`, and end with the fresh run's
+///    exit and final snapshot bytes. The head machine itself, driven on
+///    from the split to `end`, must end the same way: a `run` boundary
+///    carries no live state that a one-shot run would not have.
+///
+/// # Errors
+///
+/// Every difference, one line each, prefixed with its combo.
+pub fn check_modes(
+    build: impl Fn(StepMode, DispatchMode) -> Machine,
+    irqs: &[(u64, usize, u8)],
+    end: u64,
+    split_at: Option<u64>,
+    base: &mut Machine,
+    base_exit: &Result<Exit, SimError>,
+    ext_addrs: &BTreeSet<u16>,
+) -> Result<Vec<ModeRun>, Vec<String>> {
+    let mut details = Vec::new();
+    let streams = base.stream_count();
+    let internal_len = base.config().internal_words as u16;
+    let mut runs = Vec::with_capacity(MODE_COMBOS.len());
+    for (step, dispatch) in MODE_COMBOS {
+        let mut fresh = build(step, dispatch);
+        let f_exit = drive(&mut fresh, end, irqs);
+        if f_exit != *base_exit {
+            details.push(format!(
+                "{step:?}/{dispatch:?} fresh: exit {f_exit:?} vs base {base_exit:?}"
+            ));
+        }
+        let mut tail_cycles = 0;
+        if let Some(at) = split_at {
+            let label = format!("{step:?}/{dispatch:?} split at cycle {at}");
+            let mut head = build(step, dispatch);
+            let head_exit = drive(&mut head, at, irqs);
+            let mid = head.snapshot();
+            let mut restored = build(step, dispatch);
+            if at == 0 || head_exit != Ok(Exit::CycleLimit) || head.cycle() != at {
+                details.push(format!(
+                    "{label}: head run ended {head_exit:?} at cycle {}",
+                    head.cycle()
+                ));
+            } else if let Err(e) = restored.restore(&mid) {
+                details.push(format!("{label}: restore failed: {e}"));
+            } else if restored.snapshot() != mid {
+                details.push(format!("{label}: restore is not byte-stable"));
+            } else {
+                let s_exit = drive(&mut restored, end, irqs);
+                let h_exit = drive(&mut head, end, irqs);
+                tail_cycles = restored.cycle() - at;
+                if tail_cycles == 0 {
+                    details.push(format!("{label}: the restored machine ran no cycle"));
+                }
+                if s_exit != f_exit {
+                    details.push(format!("{label}: exit {s_exit:?} vs fresh {f_exit:?}"));
+                }
+                if h_exit != f_exit {
+                    details.push(format!(
+                        "{label}: continued head exit {h_exit:?} vs fresh {f_exit:?}"
+                    ));
+                }
+                // Before `diff_machines`, whose bus reads move
+                // snapshot-visible state.
+                let final_blob = fresh.snapshot();
+                if restored.snapshot() != final_blob {
+                    details.push(format!(
+                        "{label}: final snapshot differs from the fresh run's"
+                    ));
+                }
+                if head.snapshot() != final_blob {
+                    details.push(format!(
+                        "{label}: continued head's final snapshot differs from the fresh run's"
+                    ));
+                }
+            }
+        }
+        diff_machines(
+            &format!("{step:?}/{dispatch:?} fresh"),
+            base,
+            &mut fresh,
+            streams,
+            internal_len,
+            ext_addrs,
+            &mut details,
+        );
+        runs.push(ModeRun {
+            step,
+            dispatch,
+            fresh,
+            tail_cycles,
+        });
+    }
+    if details.is_empty() {
+        Ok(runs)
+    } else {
+        Err(details)
+    }
+}
+
 // ---- minimization -------------------------------------------------------
 
 /// Shrinks a diverging program by nopping out instructions to a fixed
@@ -1457,6 +1580,27 @@ mod tests {
             let at = split_point(seed, 100).expect("long enough to split");
             assert!((1..100).contains(&at), "seed {seed}: split at {at}");
         }
+    }
+
+    /// `fig_3_4` halts at cycle 32: a split at cycle 1600 would snapshot
+    /// a halted machine and restore one that runs nothing, so the check
+    /// must reject it in every combo, and accept a split inside the run.
+    #[test]
+    fn check_modes_rejects_a_split_past_the_end_of_the_run() {
+        let board = crate::board("fig_3_4");
+        let build = |step, dispatch| board.machine_with_modes(step, dispatch).unwrap();
+        let mut base = build(StepMode::CycleByCycle, DispatchMode::Legacy);
+        let exit = drive(&mut base, 4_000, &[]);
+        assert_eq!((exit.clone(), base.cycle()), (Ok(Exit::Halted), 32));
+        let none = BTreeSet::new();
+        let details = check_modes(build, &[], 4_000, Some(1_600), &mut base, &exit, &none)
+            .err()
+            .expect("a split past the halt is rejected");
+        assert_eq!(details.len(), MODE_COMBOS.len(), "{details:#?}");
+        assert!(details.iter().all(|d| d.contains("head run ended")));
+        let runs = check_modes(build, &[], 4_000, Some(12), &mut base, &exit, &none)
+            .unwrap_or_else(|d| panic!("{d:#?}"));
+        assert!(runs.iter().all(|run| run.tail_cycles == 20));
     }
 
     #[test]

@@ -414,8 +414,8 @@ impl Board {
     }
 
     /// [`Board::machine`] with explicit step/dispatch modes — the
-    /// board-matrix conformance suite sweeps these without editing the
-    /// document.
+    /// equivalence suite (`disc-bench/tests/equivalence.rs`) runs every
+    /// board row under each combination without editing the document.
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use disc_baseline::{BaselineConfig, BaselineMachine};
-use disc_core::{Machine, MachineConfig, MachineStats, SchedulePolicy, SimError, SkipStats};
+use disc_core::{Machine, MachineConfig, MachineStats, SchedulePolicy, SimError};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,10 +60,6 @@ pub struct SimOutcome {
     /// (`bus_faults`, `abi_timeouts`, `unmapped_accesses`) a fault
     /// campaign asserts on.
     pub stats: MachineStats,
-    /// Event-skip accounting (all zero under
-    /// [`StepMode::CycleByCycle`](disc_core::StepMode) and on the
-    /// baseline machine, which has no skip mode).
-    pub skip_stats: SkipStats,
 }
 
 impl SimOutcome {
@@ -79,9 +75,6 @@ trait Target {
     fn activate(&mut self, task: usize);
     fn completions(&self, task: usize) -> u16;
     fn stats(&self) -> &MachineStats;
-    fn skip_stats(&self) -> SkipStats {
-        SkipStats::default()
-    }
 }
 
 struct DiscTarget(Machine);
@@ -100,9 +93,6 @@ impl Target for DiscTarget {
     }
     fn stats(&self) -> &MachineStats {
         self.0.stats()
-    }
-    fn skip_stats(&self) -> SkipStats {
-        *self.0.skip_stats()
     }
 }
 
@@ -233,7 +223,6 @@ fn drive<T: Target>(mut target: T, set: &TaskSet, horizon: u64) -> Result<SimOut
             o.responses.iter().sum::<u64>() as f64 / o.responses.len() as f64
         };
     }
-    let skip_stats = target.skip_stats();
     let stats = target.stats();
     Ok(SimOutcome {
         cycles: stats.cycles,
@@ -241,7 +230,6 @@ fn drive<T: Target>(mut target: T, set: &TaskSet, horizon: u64) -> Result<SimOut
         max_irq_latency: stats.max_irq_latency(),
         background_retired: stats.retired[0],
         stats: stats.clone(),
-        skip_stats,
         tasks: outcomes,
     })
 }

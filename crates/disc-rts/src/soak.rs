@@ -49,11 +49,6 @@ pub struct SoakConfig {
     /// Allowed growth of the worst observed interrupt latency over the
     /// reference, beyond one ABI timeout.
     pub irq_latency_slack: u64,
-    /// Stepping mode every machine in the campaign (runs and reference)
-    /// is configured with. The harness drives soak machines cycle by
-    /// cycle, so either mode must produce the identical campaign — a
-    /// property the equivalence tests assert.
-    pub step_mode: StepMode,
 }
 
 impl Default for SoakConfig {
@@ -66,7 +61,6 @@ impl Default for SoakConfig {
             tolerance: 0.4,
             miss_slack: 2,
             irq_latency_slack: 128,
-            step_mode: StepMode::CycleByCycle,
         }
     }
 }
@@ -77,7 +71,6 @@ impl SoakConfig {
         MachineConfig::disc1()
             .with_bus_fault(BusFaultPolicy::Fault)
             .with_abi_timeout(self.abi_timeout)
-            .with_step_mode(self.step_mode)
     }
 }
 
@@ -109,9 +102,6 @@ pub struct SoakRun {
     pub abi_timeouts: u64,
     /// Cycles the run simulated (zero when the simulator faulted).
     pub cycles: u64,
-    /// Event-skip accounting for the run (all zero in cycle-by-cycle
-    /// mode).
-    pub skip_stats: SkipStats,
 }
 
 impl SoakRun {
@@ -157,27 +147,18 @@ impl SoakReport {
         self.reference.cycles + self.runs.iter().map(|r| r.cycles).sum::<u64>()
     }
 
-    /// Event-skip accounting aggregated over the reference run and every
-    /// seeded fault run.
-    pub fn total_skip_stats(&self) -> SkipStats {
-        let mut total = self.reference.skip_stats;
-        for run in &self.runs {
-            total.skips += run.skip_stats.skips;
-            total.cycles_skipped += run.skip_stats.cycles_skipped;
-        }
-        total
-    }
-
     /// [`SoakReport::run_report`] with the measured wall-clock seconds
     /// the campaign took, from which the timing section's
     /// `sim_cycles_per_sec` (total campaign cycles over wall time) is
-    /// derived.
+    /// derived. The harness advances every machine with `Machine::step`,
+    /// which never skips, so the section always reports cycle-by-cycle
+    /// stepping and zero skips.
     pub fn run_report_timed(&self, cfg: &SoakConfig, wall_secs: Option<f64>) -> RunReport {
         let throughput = wall_secs
             .filter(|&s| s > 0.0)
             .map(|s| self.total_cycles() as f64 / s);
         self.run_report(cfg)
-            .with_timing(cfg.step_mode, throughput, &self.total_skip_stats())
+            .with_timing(StepMode::CycleByCycle, throughput, &SkipStats::default())
     }
 
     /// Builds the campaign's schema-versioned [`RunReport`]: campaign
@@ -467,7 +448,6 @@ pub fn run_one(cfg: &SoakConfig, set: &TaskSet, seed: u64, reference: &SimOutcom
             bus_faults: 0,
             abi_timeouts: 0,
             cycles: 0,
-            skip_stats: SkipStats::default(),
         },
         Ok(outcome) => {
             let violations = check_invariants(cfg, set, victim, reference, &outcome, &fault_log);
@@ -483,7 +463,6 @@ pub fn run_one(cfg: &SoakConfig, set: &TaskSet, seed: u64, reference: &SimOutcom
                 bus_faults: outcome.stats.bus_faults_total(),
                 abi_timeouts: outcome.stats.abi_timeouts,
                 cycles: outcome.stats.cycles,
-                skip_stats: outcome.skip_stats,
             }
         }
     }
