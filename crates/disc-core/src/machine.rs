@@ -883,7 +883,11 @@ impl Machine {
     fn burst(&mut self, budget: u64) -> Result<u64, SimError> {
         let resuming = self.sb_carry;
         self.sb_carry = false;
-        let n = self.superblock_burst(budget, resuming)?;
+        // A fault ends the burst for good, so no carried length survives
+        // it (a one-shot run faulting in the same burst carried none).
+        let n = self
+            .superblock_burst(budget, resuming)
+            .inspect_err(|_| self.sb_carry_len = 0)?;
         if n == budget {
             // Cut by the caller's budget, not by the machine.
             self.sb_carry = true;

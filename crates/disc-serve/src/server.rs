@@ -14,17 +14,37 @@
 //! sampling window so pause/evict stay window-aligned and the
 //! byte-identity guarantees of chunk transparency hold at any chunk
 //! size.
+//!
+//! # Session phases
+//!
+//! A session's lifecycle is one `Phase`, written only by `transition`.
+//! Verbs, the I/O they start and chunk outcomes enter it as events. A
+//! verb moves the session or is refused with the text in its cell:
+//!
+//! | phase \ verb | `run` | `pause` (ack `state`) | `resume` | `snapshot` | `evict` |
+//! |---|---|---|---|---|---|
+//! | idle | → running | `idle` | `idle` (budget 0) | ok | → evicting |
+//! | running | "session is already running" | `pausing` | "session is already running" | "pause the session before snapshotting" | "pause the session before evicting" |
+//! | paused | → running | `paused` | → running if budget left, else `paused` | ok | → evicting |
+//! | evicting | "session eviction is in progress; retry shortly" | `evicting` | as `run` | as `run` | as `run` |
+//! | evicted | "session is evicted; resume it first" | `evicted` | restore → paused, then as paused | "session is evicted; resume it first" | "session is already evicted" |
+//! | done | "session already finished" | `done` | "session already finished" | ok | "session already finished" |
+//!
+//! `stat` and `close` are accepted in every phase. A failed eviction
+//! write returns to the phase it left. `close` moves every phase to a
+//! closed one that no verb reaches (the session has left the table); an
+//! eviction that finds it there deletes its file, a chunk emits nothing.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use disc_board::Board;
-use disc_core::{Exit, Machine, SimError};
+use disc_core::{Exit, Machine};
 use disc_obs::{Json, RunReport, WireSink};
 use disc_par::WorkerPool;
 
@@ -88,36 +108,174 @@ impl Default for ServerConfig {
     }
 }
 
-/// How far along a session's lifecycle is.
+/// What a session whose machine is in memory is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Machine live, no run in progress.
+enum Activity {
+    /// No run in progress.
     Idle,
-    /// Enqueued on (or executing a chunk of) the worker pool.
-    Running,
-    /// Pause honored at a chunk boundary; machine live.
+    /// Enqueued on (or executing a chunk of) the worker pool. `pausing`
+    /// once a pause is requested; it is honored at the next chunk
+    /// boundary.
+    Running { pausing: bool },
+    /// Pause honored at a chunk boundary.
     Paused,
-    /// Eviction in flight: the machine has been taken for snapshotting
-    /// but the snapshot is not on disk yet. The snapshot write happens
-    /// with no locks held, so this phase is externally observable.
-    Evicting,
-    /// Machine dropped; state is a snapshot on disk.
-    Evicted,
     /// The run ended for good (halt, all-idle, or a simulation fault).
     Done,
 }
 
+/// Where a session is in its lifecycle. Only [`transition`] writes it.
+enum Phase {
+    /// The machine is in memory (boxed, so a phase change moves a
+    /// pointer, not the machine).
+    Live(Box<Machine>, Activity),
+    /// The evictor holds the machine and writes its snapshot with no lock
+    /// held; a failed write returns to the activity kept here.
+    Evicting(Activity),
+    /// Machine dropped; its state is the snapshot file at this path.
+    Evicted(PathBuf),
+    /// Removed from the table by `close`, so no verb can reach it.
+    Closed,
+}
+
 impl Phase {
-    fn name(self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
-            Phase::Idle => "idle",
-            Phase::Running => "running",
-            Phase::Paused => "paused",
-            Phase::Evicting => "evicting",
-            Phase::Evicted => "evicted",
-            Phase::Done => "done",
+            Phase::Live(_, Activity::Idle) => "idle",
+            Phase::Live(_, Activity::Running { .. }) => "running",
+            Phase::Live(_, Activity::Paused) => "paused",
+            Phase::Live(_, Activity::Done) => "done",
+            Phase::Evicting(_) => "evicting",
+            Phase::Evicted(_) => "evicted",
+            Phase::Closed => "closed",
         }
     }
+}
+
+/// Something that moves a session along its lifecycle: a client verb,
+/// the result of I/O a verb started, or the outcome of one chunk.
+enum Event {
+    /// `run` with a budget of this many cycles.
+    Run(u64),
+    Pause,
+    Resume,
+    /// Resume's snapshot read and restore produced this machine.
+    Restored(Box<Machine>),
+    Snapshot,
+    Evict,
+    /// The eviction's snapshot is on disk at this path, or its write
+    /// failed and the session serves on from this machine.
+    Written(Result<PathBuf, Box<Machine>>),
+    Close,
+    /// A chunk boundary with a pause requested or a shutdown under way.
+    Park,
+    /// The chunk hit a simulation error.
+    Fault,
+    /// The machine halted or went all-idle.
+    Finished,
+    /// The `run` budget is spent.
+    Spent,
+    /// The chunk ended with budget left: run another.
+    Continue,
+}
+
+/// What the caller of [`transition`] does once an event is accepted.
+enum Step {
+    /// Nothing more; a verb acks with the session's state.
+    Ack,
+    /// A verb acks `pausing`.
+    Pausing,
+    /// Schedule the session's next chunk; a verb acks `running`.
+    Enqueue,
+    /// Ack with this snapshot of the machine.
+    Snapshot { bytes: Vec<u8>, cycle: u64 },
+    /// Read and restore the snapshot at this path, feed back
+    /// [`Event::Restored`], then resume as a paused session.
+    Restore(PathBuf),
+    /// Write this machine's snapshot with no lock held, then feed back
+    /// [`Event::Written`].
+    Evict(Box<Machine>),
+    /// Delete the session's snapshot file, if it has one.
+    Close(Option<PathBuf>),
+}
+
+const EVICTING_MSG: &str = "session eviction is in progress; retry shortly";
+
+/// The session lifecycle's one writer: moves `s` by `event`, or refuses
+/// it with the wire error text and leaves the phase as it was. Every
+/// accepted event but a read and an eviction's start and rollback marks
+/// the session as touched, so the sweeper retries a failed eviction.
+fn transition(s: &mut Session, event: Event) -> Result<Step, &'static str> {
+    use Activity::{Done, Idle, Paused, Running};
+    use Phase::{Closed, Evicted, Evicting, Live};
+    let touches = !matches!(
+        event,
+        Event::Pause | Event::Snapshot | Event::Evict | Event::Written(Err(_))
+    );
+    let (next, result) = match (std::mem::replace(&mut s.phase, Closed), event) {
+        (Closed, Event::Written(_)) => (Closed, Err("session closed during eviction")),
+        (Closed, _) => (Closed, Err("session is closed")),
+        // An in-flight eviction owns the file it is writing: it finds
+        // the session closed when it relocks and removes the file itself.
+        (Evicted(path), Event::Close) => (Closed, Ok(Step::Close(Some(path)))),
+        (_, Event::Close) => (Closed, Ok(Step::Close(None))),
+
+        (Live(m, Idle | Paused), Event::Run(cycles)) => {
+            s.remaining = cycles;
+            (Live(m, Running { pausing: false }), Ok(Step::Enqueue))
+        }
+        (Live(m, Running { .. }), Event::Pause) => {
+            (Live(m, Running { pausing: true }), Ok(Step::Pausing))
+        }
+        (phase, Event::Pause) => (phase, Ok(Step::Ack)),
+        (Live(m, Idle | Paused), Event::Resume) if s.remaining > 0 => {
+            (Live(m, Running { pausing: false }), Ok(Step::Enqueue))
+        }
+        (Live(m, at @ (Idle | Paused)), Event::Resume) => (Live(m, at), Ok(Step::Ack)),
+        (Evicted(path), Event::Resume) => (Evicted(path.clone()), Ok(Step::Restore(path))),
+        (Evicted(_), Event::Restored(m)) => (Live(m, Paused), Ok(Step::Ack)),
+        (Live(m, at @ (Idle | Paused | Done)), Event::Snapshot) => {
+            let (bytes, cycle) = (m.snapshot(), m.cycle());
+            (Live(m, at), Ok(Step::Snapshot { bytes, cycle }))
+        }
+        (Live(m, at @ (Idle | Paused)), Event::Evict) => (Evicting(at), Ok(Step::Evict(m))),
+        (Evicting(_), Event::Written(Ok(path))) => (Evicted(path), Ok(Step::Ack)),
+        (Evicting(at), Event::Written(Err(m))) => (Live(m, at), Ok(Step::Ack)),
+
+        (Live(m, at @ Running { .. }), Event::Continue) => (Live(m, at), Ok(Step::Enqueue)),
+        (Live(m, Running { .. }), Event::Park) => (Live(m, Paused), Ok(Step::Ack)),
+        (Live(m, Running { .. }), Event::Fault | Event::Finished) => {
+            s.remaining = 0;
+            (Live(m, Done), Ok(Step::Ack))
+        }
+        (Live(m, Running { .. }), Event::Spent) => (Live(m, Idle), Ok(Step::Ack)),
+
+        (phase, event) => {
+            let refusal = match (&phase, event) {
+                (
+                    _,
+                    Event::Park | Event::Fault | Event::Finished | Event::Spent | Event::Continue,
+                ) => "session is not running",
+                (_, Event::Written(_)) => "no eviction is in progress",
+                (_, Event::Restored(_)) => "session is not evicted",
+                (Evicting(_), _) => EVICTING_MSG,
+                (Live(_, Running { .. }), Event::Snapshot) => {
+                    "pause the session before snapshotting"
+                }
+                (Live(_, Running { .. }), Event::Evict) => "pause the session before evicting",
+                (Live(_, Running { .. }), _) => "session is already running",
+                (Evicted(_), Event::Evict) => "session is already evicted",
+                (Evicted(_), _) => "session is evicted; resume it first",
+                // Only a finished session is left.
+                _ => "session already finished",
+            };
+            (phase, Err(refusal))
+        }
+    };
+    s.phase = next;
+    if touches && result.is_ok() {
+        s.touched = Instant::now();
+    }
+    result
 }
 
 /// One managed machine and everything needed to rebuild it.
@@ -129,19 +287,12 @@ struct Session {
     board: Board,
     sample_every: u64,
     trace: bool,
-    machine: Option<Machine>,
     phase: Phase,
     /// Cycles left of the current `run` command's budget.
     remaining: u64,
-    pause_requested: bool,
     /// Adaptive cycles-per-chunk; 0 until the first chunk establishes
     /// the aligned baseline. Always a multiple of the sampling window.
     chunk_cycles: u64,
-    evicted_to: Option<PathBuf>,
-    /// Set by `close`; tells an in-flight eviction or chunk that the
-    /// session is gone from the table and should clean up after
-    /// itself instead of finalizing.
-    closed: bool,
     /// Last lifecycle activity, for the idle-eviction sweeper.
     touched: Instant,
     writer: SharedWriter,
@@ -168,29 +319,33 @@ impl Session {
         }
     }
 
-    /// Builds a fresh machine with no sink attached (the resume path
-    /// restores state first, then attaches the sink at the restored
-    /// cycle).
-    fn fresh_machine(&self) -> Machine {
-        self.board
-            .machine()
-            .expect("the board built a machine when the session was created")
-    }
-
-    fn attach_sink(&self, machine: &mut Machine) {
-        if self.sample_every == 0 && !self.trace {
-            return;
-        }
-        let every = self.sample_every.max(1);
-        let sink = WireSink::resume_at(
-            Arc::clone(&self.writer),
+    /// Rebuilds the machine from the board and the snapshot at `path`,
+    /// attaching the sink at the restored cycle.
+    fn read_snapshot(&self, path: &Path) -> Result<Machine, String> {
+        let bytes =
+            std::fs::read(path).map_err(|e| format!("read snapshot {}: {e}", path.display()))?;
+        let mut machine = self.board.machine().map_err(|e| format!("board: {e}"))?;
+        machine
+            .restore(&bytes)
+            .map_err(|e| format!("restore: {e}"))?;
+        attach_sink(
+            &mut machine,
+            &self.writer,
             self.id,
-            every,
-            machine.cycle(),
-            machine.stats(),
-        )
-        .with_trace(self.trace);
-        machine.set_trace_sink(Box::new(sink));
+            self.sample_every,
+            self.trace,
+        );
+        Ok(machine)
+    }
+}
+
+/// Streams the session's sample windows (and trace, when asked) from
+/// the machine's current cycle on.
+fn attach_sink(machine: &mut Machine, writer: &SharedWriter, id: u64, every: u64, trace: bool) {
+    if every > 0 || trace {
+        let (cycle, stats) = (machine.cycle(), machine.stats());
+        let sink = WireSink::resume_at(Arc::clone(writer), id, every.max(1), cycle, stats);
+        machine.set_trace_sink(Box::new(sink.with_trace(trace)));
     }
 }
 
@@ -406,6 +561,11 @@ fn dispatch(
     writer: &SharedWriter,
     request: Request,
 ) -> Result<AckFields, String> {
+    let on = |session: u64, event: Event| {
+        let slot = lookup(shared, session)?;
+        let s = slot.lock().expect("session poisoned");
+        apply(shared, &slot, s, event)
+    };
     match request.verb {
         Verb::Ping => Ok(vec![("proto", Json::str(PROTOCOL))]),
         // Acked (before the accept loop is woken) in `serve_connection`.
@@ -431,130 +591,32 @@ fn dispatch(
                 ("session", Json::U64(id)),
                 ("board", Json::str(&board.name)),
             ];
-            let mut s = Session {
+            attach_sink(&mut machine, writer, id, sample_every, trace);
+            let s = Session {
                 id,
                 board,
                 sample_every,
                 trace,
-                machine: None,
-                phase: Phase::Idle,
+                phase: Phase::Live(Box::new(machine), Activity::Idle),
                 remaining: 0,
-                pause_requested: false,
                 chunk_cycles: 0,
-                evicted_to: None,
-                closed: false,
                 touched: Instant::now(),
                 writer: Arc::clone(writer),
             };
-            s.attach_sink(&mut machine);
-            s.machine = Some(machine);
             shared.table().insert(id, Arc::new(Mutex::new(s)));
             Ok(fields)
         }
-        Verb::Run { session, cycles } => {
-            let slot = lookup(shared, session)?;
-            {
-                let mut s = slot.lock().expect("session poisoned");
-                match s.phase {
-                    Phase::Running => return Err("session is already running".into()),
-                    Phase::Done => return Err("session already finished".into()),
-                    Phase::Evicting => return Err(EVICTING_MSG.into()),
-                    Phase::Evicted => return Err("session is evicted; resume it first".into()),
-                    Phase::Idle | Phase::Paused => {}
-                }
-                s.remaining = cycles;
-                s.pause_requested = false;
-                s.phase = Phase::Running;
-                s.touched = Instant::now();
-            }
-            enqueue_chunk(shared, &slot);
-            Ok(vec![("state", Json::str("running"))])
-        }
-        Verb::Pause { session } => {
-            let slot = lookup(shared, session)?;
-            let mut s = slot.lock().expect("session poisoned");
-            match s.phase {
-                Phase::Running => {
-                    s.pause_requested = true;
-                    Ok(vec![("state", Json::str("pausing"))])
-                }
-                phase => Ok(vec![("state", Json::str(phase.name()))]),
-            }
-        }
-        Verb::Snapshot { session } => {
-            let slot = lookup(shared, session)?;
-            let s = slot.lock().expect("session poisoned");
-            if s.phase == Phase::Running {
-                return Err("pause the session before snapshotting".into());
-            }
-            if s.phase == Phase::Evicting {
-                return Err(EVICTING_MSG.into());
-            }
-            let machine = s
-                .machine
-                .as_ref()
-                .ok_or("session is evicted; resume it first")?;
-            let bytes = machine.snapshot();
-            Ok(vec![
-                ("bytes", Json::U64(bytes.len() as u64)),
-                ("checksum", Json::U64(disc_snap::checksum(&bytes))),
-                ("cycle", Json::U64(machine.cycle())),
-            ])
-        }
-        Verb::Evict { session } => {
-            let slot = lookup(shared, session)?;
-            evict_session(shared, &slot).map(|(path, bytes)| {
-                vec![
-                    ("path", Json::str(path.display().to_string())),
-                    ("bytes", Json::U64(bytes as u64)),
-                ]
-            })
-        }
-        Verb::Resume { session } => {
-            let slot = lookup(shared, session)?;
-            let state;
-            {
-                let mut s = slot.lock().expect("session poisoned");
-                match s.phase {
-                    Phase::Running => return Err("session is already running".into()),
-                    Phase::Done => return Err("session already finished".into()),
-                    Phase::Evicting => return Err(EVICTING_MSG.into()),
-                    Phase::Evicted => {
-                        let path = s.evicted_to.clone().expect("evicted without a path");
-                        let bytes = std::fs::read(&path)
-                            .map_err(|e| format!("read snapshot {}: {e}", path.display()))?;
-                        let mut machine = s.fresh_machine();
-                        machine
-                            .restore(&bytes)
-                            .map_err(|e| format!("restore: {e}"))?;
-                        s.attach_sink(&mut machine);
-                        s.machine = Some(machine);
-                        s.evicted_to = None;
-                        let _ = std::fs::remove_file(&path);
-                        s.phase = Phase::Paused;
-                    }
-                    Phase::Idle | Phase::Paused => {}
-                }
-                s.touched = Instant::now();
-                if s.remaining > 0 {
-                    s.pause_requested = false;
-                    s.phase = Phase::Running;
-                    state = "running";
-                } else {
-                    state = s.phase.name();
-                }
-            }
-            if state == "running" {
-                enqueue_chunk(shared, &slot);
-            }
-            Ok(vec![("state", Json::str(state))])
-        }
+        Verb::Run { session, cycles } => on(session, Event::Run(cycles)),
+        Verb::Pause { session } => on(session, Event::Pause),
+        Verb::Snapshot { session } => on(session, Event::Snapshot),
+        Verb::Evict { session } => on(session, Event::Evict),
+        Verb::Resume { session } => on(session, Event::Resume),
         Verb::Stat { session } => {
             let slot = lookup(shared, session)?;
             let s = slot.lock().expect("session poisoned");
-            let (cycle, retired) = match &s.machine {
-                Some(m) => (m.cycle(), m.stats().retired_total()),
-                None => (0, 0),
+            let (cycle, retired, dispatch) = match &s.phase {
+                Phase::Live(m, _) => (m.cycle(), m.stats().retired_total(), Some(m)),
+                _ => (0, 0, None),
             };
             let mut fields = vec![
                 ("state", Json::str(s.phase.name())),
@@ -562,9 +624,7 @@ fn dispatch(
                 ("retired", Json::U64(retired)),
                 ("remaining", Json::U64(s.remaining)),
             ];
-            if let Some(m) = &s.machine {
-                fields.push(("dispatch", dispatch_stats_json(m)));
-            }
+            fields.extend(dispatch.map(|m| ("dispatch", dispatch_stats_json(m))));
             Ok(fields)
         }
         Verb::Close { session } => {
@@ -572,21 +632,54 @@ fn dispatch(
                 .table()
                 .remove(&session)
                 .ok_or_else(|| format!("no such session {session}"))?;
-            let mut s = slot.lock().expect("session poisoned");
-            s.closed = true;
-            if s.phase == Phase::Evicting {
-                // An in-flight eviction owns the snapshot file it is
-                // writing; it observes `closed` when it relocks and
-                // removes the file itself.
-            } else if let Some(path) = &s.evicted_to {
+            let s = slot.lock().expect("session poisoned");
+            apply(shared, &slot, s, Event::Close)
+        }
+    }
+}
+
+/// Feeds a verb's event to its locked session and carries out the step
+/// the transition answers with; the ack follows from the step.
+fn apply(
+    shared: &Arc<Shared>,
+    slot: &Arc<Mutex<Session>>,
+    mut s: MutexGuard<'_, Session>,
+    event: Event,
+) -> Result<AckFields, String> {
+    match transition(&mut s, event)? {
+        Step::Ack => Ok(vec![("state", Json::str(s.phase.name()))]),
+        Step::Pausing => Ok(vec![("state", Json::str("pausing"))]),
+        Step::Enqueue => {
+            drop(s);
+            enqueue_chunk(shared, slot);
+            Ok(vec![("state", Json::str("running"))])
+        }
+        Step::Snapshot { bytes, cycle } => Ok(vec![
+            ("bytes", Json::U64(bytes.len() as u64)),
+            ("checksum", Json::U64(disc_snap::checksum(&bytes))),
+            ("cycle", Json::U64(cycle)),
+        ]),
+        Step::Restore(path) => {
+            // The read happens under the session lock; the restored
+            // session then resumes as a paused one.
+            let machine = s.read_snapshot(&path)?;
+            transition(&mut s, Event::Restored(Box::new(machine)))?;
+            let _ = std::fs::remove_file(&path);
+            apply(shared, slot, s, Event::Resume)
+        }
+        Step::Evict(machine) => {
+            let id = s.id;
+            drop(s);
+            write_eviction(shared, slot, id, machine)
+        }
+        Step::Close(snapshot) => {
+            if let Some(path) = snapshot {
                 let _ = std::fs::remove_file(path);
             }
             Ok(vec![])
         }
     }
 }
-
-const EVICTING_MSG: &str = "session eviction is in progress; retry shortly";
 
 /// Reads `<board_dir>/<name>.board` for a `board_name` create.
 fn read_named_board(shared: &Shared, name: &str) -> Result<String, String> {
@@ -640,57 +733,34 @@ fn lookup(shared: &Shared, session: u64) -> Result<Arc<Mutex<Session>>, String> 
         .ok_or_else(|| format!("no such session {session}"))
 }
 
-/// Snapshots a paused/idle session to disk and drops its machine.
-///
-/// Two-phase: the machine is *taken* under the session lock
-/// ([`Phase::Evicting`]), then serialized and written with **no** locks
-/// held — a slow disk stalls only this session — then the session is
-/// relocked to finalize (or roll back on a write error, or clean up if
-/// the session was closed mid-eviction).
-fn evict_session(shared: &Shared, slot: &Arc<Mutex<Session>>) -> Result<(PathBuf, usize), String> {
-    let (machine, id, prev_phase) = {
-        let mut s = slot.lock().expect("session poisoned");
-        match s.phase {
-            Phase::Running => return Err("pause the session before evicting".into()),
-            Phase::Done => return Err("session already finished".into()),
-            Phase::Evicting => return Err(EVICTING_MSG.into()),
-            Phase::Evicted => return Err("session is already evicted".into()),
-            Phase::Idle | Phase::Paused => {}
-        }
-        let prev = s.phase;
-        let machine = s.machine.take().ok_or("session is already evicted")?;
-        s.phase = Phase::Evicting;
-        (machine, s.id, prev)
-    };
-    // Lock-free zone: serialize and hit the disk while the table and
-    // the session stay fully available to other requests.
+/// The second half of an eviction, after [`transition`] took the
+/// machine: the snapshot is written with **no** locks held — a slow disk
+/// stalls only this session — then the session is relocked and the
+/// write's outcome fed back as [`Event::Written`].
+fn write_eviction(
+    shared: &Shared,
+    slot: &Arc<Mutex<Session>>,
+    id: u64,
+    machine: Box<Machine>,
+) -> Result<AckFields, String> {
     let bytes = machine.snapshot();
     if let Some(delay) = shared.config.evict_write_delay {
         std::thread::sleep(delay);
     }
     let path = shared.config.evict_dir.join(format!("session-{id}.snap"));
-    let write_result = std::fs::write(&path, &bytes);
-    let mut s = slot.lock().expect("session poisoned");
-    if s.closed {
-        // Closed while we were writing: the table entry is already
-        // gone, so nothing can ever resume this snapshot. Drop both the
-        // machine and the file.
+    let written = std::fs::write(&path, &bytes);
+    let event = Event::Written(written.as_ref().map(|()| path.clone()).map_err(|_| machine));
+    if let Err(refusal) = transition(&mut slot.lock().expect("session poisoned"), event) {
+        // Closed mid-write: the table entry is gone, so nothing can ever
+        // resume this snapshot.
         let _ = std::fs::remove_file(&path);
-        return Err("session closed during eviction".into());
+        return Err(refusal.into());
     }
-    match write_result {
-        Ok(()) => {
-            s.evicted_to = Some(path.clone());
-            s.phase = Phase::Evicted;
-            s.touched = Instant::now();
-            Ok((path, bytes.len()))
-        }
-        Err(e) => {
-            s.machine = Some(machine); // eviction failed; keep serving from RAM
-            s.phase = prev_phase;
-            Err(format!("write snapshot {}: {e}", path.display()))
-        }
-    }
+    written.map_err(|e| format!("write snapshot {}: {e}", path.display()))?;
+    Ok(vec![
+        ("path", Json::str(path.display().to_string())),
+        ("bytes", Json::U64(bytes.len() as u64)),
+    ])
 }
 
 /// Background sweeper pass: evict every live session idle longer than
@@ -699,34 +769,19 @@ fn evict_session(shared: &Shared, slot: &Arc<Mutex<Session>>) -> Result<(PathBuf
 /// Clones every session's `Arc` out under the table lock, releases it,
 /// and inspects each session with `try_lock` (a session busy enough to
 /// hold its lock is not idle). The snapshot write itself happens inside
-/// [`evict_session`] with no locks held, so a slow disk never blocks
+/// [`write_eviction`] with no locks held, so a slow disk never blocks
 /// `create`/`stat`/`run` traffic.
-fn sweep_idle(shared: &Shared, older_than: Duration) {
+fn sweep_idle(shared: &Arc<Shared>, older_than: Duration) {
     let slots: Vec<_> = shared.table().values().cloned().collect();
     for slot in slots {
-        let (id, writer) = {
-            let Ok(s) = slot.try_lock() else { continue };
-            let idle = matches!(s.phase, Phase::Idle | Phase::Paused);
-            if !(idle && s.machine.is_some() && s.touched.elapsed() >= older_than) {
-                continue;
-            }
-            (s.id, Arc::clone(&s.writer))
-        };
-        // Eligibility is re-checked under the session lock inside
-        // `evict_session`; a verb that raced us simply turns this
-        // into a no-op Err.
-        if let Ok((path, bytes)) = evict_session(shared, &slot) {
-            send(
-                &writer,
-                &event(
-                    "evicted",
-                    id,
-                    [
-                        ("path", Json::str(path.display().to_string())),
-                        ("bytes", Json::U64(bytes as u64)),
-                    ],
-                ),
-            );
+        let Ok(s) = slot.try_lock() else { continue };
+        let resting = matches!(s.phase, Phase::Live(_, Activity::Idle | Activity::Paused));
+        if !(resting && s.touched.elapsed() >= older_than) {
+            continue;
+        }
+        let (id, writer) = (s.id, Arc::clone(&s.writer));
+        if let Ok(fields) = apply(shared, &slot, s, Event::Evict) {
+            send(&writer, &event("evicted", id, fields));
         }
     }
 }
@@ -742,102 +797,76 @@ fn enqueue_chunk(shared: &Arc<Shared>, slot: &Arc<Mutex<Session>>) {
     shared.pool.submit(move || run_chunk_job(&shared2, &slot));
 }
 
-/// Parks a running session at a chunk boundary: flips it to
-/// [`Phase::Paused`] and emits the `paused` event (outside the session
-/// lock, like every non-terminal event). Shared between the
-/// client-requested pause path and the shutdown parks, so a client
-/// blocked on its run always observes the same terminal event however
-/// the run was interrupted.
-fn park_paused(mut s: std::sync::MutexGuard<'_, Session>) {
-    s.phase = Phase::Paused;
-    s.touched = Instant::now();
-    let cycle = s.machine.as_ref().map_or(0, Machine::cycle);
-    let (writer, id) = (Arc::clone(&s.writer), s.id);
-    drop(s);
-    send(&writer, &event("paused", id, [("cycle", Json::U64(cycle))]));
-}
-
+/// Runs one chunk on a running session's machine in place and feeds the
+/// outcome to [`transition`]. `done` goes out under the session lock, so
+/// no later event can overtake it; `paused` and `error` go out after.
 fn run_chunk_job(shared: &Arc<Shared>, slot: &Arc<Mutex<Session>>) {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        // Server tearing down: park at the chunk boundary already
-        // reached instead of re-enqueueing, so the accept loop's
-        // `wait_idle` drain completes promptly. The park emits the same
-        // `paused` event a client-requested pause would — a client
-        // blocked on its run's next event must see a terminal event, not
-        // just the eventual connection EOF.
-        let s = slot.lock().expect("session poisoned");
-        if s.phase == Phase::Running {
-            park_paused(s);
-        }
-        return;
-    }
-    let mut s = slot.lock().expect("session poisoned");
-    if s.phase != Phase::Running || s.closed {
-        return; // closed or re-commanded between enqueue and execution
-    }
-    if s.pause_requested {
-        s.pause_requested = false;
-        park_paused(s);
-        return;
-    }
+    let mut guard = slot.lock().expect("session poisoned");
+    let s = &mut *guard;
     let intended = s.chunk(shared.config.chunk);
     let budget = intended.min(s.remaining);
-    let Some(machine) = s.machine.as_mut() else {
-        return; // evicted out from under us; resume re-schedules
+    let (id, writer) = (s.id, Arc::clone(&s.writer));
+    let Phase::Live(machine, Activity::Running { pausing }) = &mut s.phase else {
+        return; // closed between enqueue and execution
     };
-    let started = Instant::now();
-    let result = machine.run_chunk(budget);
-    // Batched sample lines go on the wire now, before any `paused`/
-    // `done`/`error` event below can overtake them.
-    machine.flush_trace_sink();
-    let elapsed = started.elapsed();
-    match result {
-        Err(e) => {
-            s.phase = Phase::Done;
-            s.remaining = 0;
-            let cycle = s.machine.as_ref().map_or(0, Machine::cycle);
-            let (writer, id) = (Arc::clone(&s.writer), s.id);
-            drop(s);
-            send(
-                &writer,
-                &event(
-                    "error",
-                    id,
-                    [
-                        ("error", Json::str(sim_error_text(&e))),
-                        ("cycle", Json::U64(cycle)),
-                    ],
-                ),
-            );
-        }
-        Ok(chunk) => {
-            s.remaining = s.remaining.saturating_sub(chunk.cycles.max(1));
-            adapt_chunk(
-                &mut s,
-                &shared.config,
-                intended,
-                budget,
-                chunk.cycles,
-                elapsed,
-            );
-            match chunk.exit {
-                Exit::Halted | Exit::AllIdle => finish_session(&mut s, chunk.exit),
-                Exit::Breakpoint { .. } | Exit::CycleLimit => {
-                    if s.remaining == 0 {
-                        finish_budget(&mut s);
-                    } else if shared.shutdown.load(Ordering::SeqCst) {
-                        // Shutdown arrived mid-chunk: park instead of
-                        // re-enqueueing (see top of function). Like the
-                        // pre-chunk park, the client gets a `paused`
-                        // event, not a silent EOF.
-                        park_paused(s);
-                    } else {
-                        drop(s);
-                        enqueue_chunk(shared, slot);
+    let paused = |m: &Machine| event("paused", id, [("cycle", Json::U64(m.cycle()))]);
+    // A server tearing down parks at the chunk boundary already reached
+    // instead of re-enqueueing, so the accept loop's `wait_idle` drain
+    // completes promptly. The park emits the same `paused` event a
+    // client-requested pause does: a client blocked on its run's next
+    // event must see a terminal event, not just the connection's EOF.
+    let (outcome, after) = if *pausing || shared.shutdown.load(Ordering::SeqCst) {
+        (Event::Park, Some(paused(machine)))
+    } else {
+        let started = Instant::now();
+        let result = machine.run_chunk(budget);
+        // Batched sample lines go on the wire now, before any `paused`/
+        // `done`/`error` event below can overtake them.
+        machine.flush_trace_sink();
+        let elapsed = started.elapsed();
+        match result {
+            Err(e) => {
+                let cycle = Json::U64(machine.cycle());
+                let error = [("error", Json::str(e.to_string())), ("cycle", cycle)];
+                (Event::Fault, Some(event("error", id, error)))
+            }
+            Ok(chunk) => {
+                s.remaining = s.remaining.saturating_sub(chunk.cycles.max(1));
+                let outcome = match chunk.exit {
+                    Exit::Halted | Exit::AllIdle => {
+                        let exit = if chunk.exit == Exit::Halted {
+                            "halted"
+                        } else {
+                            "all-idle"
+                        };
+                        send(&writer, &done_event(machine, id, exit, true));
+                        (Event::Finished, None)
                     }
-                }
+                    // The budget ran dry without the machine finishing:
+                    // the session stays alive (a further `run` continues
+                    // it), but the client gets a `done`-shaped event
+                    // marking this command complete.
+                    _ if s.remaining == 0 => {
+                        send(&writer, &done_event(machine, id, "cycle-limit", false));
+                        (Event::Spent, None)
+                    }
+                    _ if shared.shutdown.load(Ordering::SeqCst) => {
+                        (Event::Park, Some(paused(machine)))
+                    }
+                    _ => (Event::Continue, None),
+                };
+                adapt_chunk(s, &shared.config, intended, budget, chunk.cycles, elapsed);
+                outcome
             }
         }
+    };
+    let step = transition(s, outcome);
+    drop(guard);
+    if let Some(json) = after {
+        send(&writer, &json);
+    }
+    if let Ok(Step::Enqueue) = step {
+        enqueue_chunk(shared, slot);
     }
 }
 
@@ -869,35 +898,11 @@ fn adapt_chunk(
     }
 }
 
-/// The run ended for good: emit the `done` event with the full report.
-fn finish_session(s: &mut Session, exit: Exit) {
-    s.phase = Phase::Done;
-    s.remaining = 0;
-    s.touched = Instant::now();
-    let (writer, id) = (Arc::clone(&s.writer), s.id);
-    let done = done_event(s, id, exit_name(exit), true);
-    // Send outside the borrow of the machine but inside the session lock,
-    // so no later event can overtake `done` for this session.
-    send(&writer, &done);
-}
-
-/// A `run` command's budget ran dry without the machine finishing: the
-/// session stays alive (a further `run` continues it), but the client
-/// gets a `done`-shaped event marking this command complete.
-fn finish_budget(s: &mut Session) {
-    s.phase = Phase::Idle;
-    s.touched = Instant::now();
-    let (writer, id) = (Arc::clone(&s.writer), s.id);
-    let done = done_event(s, id, "cycle-limit", false);
-    send(&writer, &done);
-}
-
 /// Builds the `done` event: exit reason, elapsed cycles, dispatch
 /// efficiency, the schema-versioned report, and a fingerprint over the
 /// report bytes so clients can assert byte-identity without shipping
 /// the report around.
-fn done_event(s: &mut Session, id: u64, exit: &str, run_ended: bool) -> Json {
-    let machine = s.machine.as_mut().expect("finishing session has a machine");
+fn done_event(machine: &mut Machine, id: u64, exit: &str, run_ended: bool) -> Json {
     // On a true run end, detach the sink: its tail flush (already
     // triggered by `Machine::run`) is final. A budget exhaustion is not
     // an end — the sink stays attached so a later `run` keeps streaming
@@ -922,15 +927,179 @@ fn done_event(s: &mut Session, id: u64, exit: &str, run_ended: bool) -> Json {
     )
 }
 
-fn exit_name(exit: Exit) -> &'static str {
-    match exit {
-        Exit::Halted => "halted",
-        Exit::AllIdle => "all-idle",
-        Exit::CycleLimit => "cycle-limit",
-        Exit::Breakpoint { .. } => "breakpoint",
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn sim_error_text(e: &SimError) -> String {
-    format!("{e}")
+    const BOARD: &str = r#"
+[program]
+source = """
+.stream 0, main
+main:
+    jmp main
+"""
+"#;
+
+    /// The phases of [`TABLE`]'s columns, `pausing` being a running
+    /// session with a pause requested.
+    const PHASES: [&str; 9] = [
+        "idle",
+        "running",
+        "pausing",
+        "paused",
+        "evicting/idle",
+        "evicting/paused",
+        "evicted",
+        "done",
+        "closed",
+    ];
+
+    const RUN: &str = "session is already running";
+    const EVI: &str = EVICTING_MSG;
+    const RES: &str = "session is evicted; resume it first";
+    const FIN: &str = "session already finished";
+    const CLO: &str = "session is closed";
+    const NRUN: &str = "session is not running";
+    const NEV: &str = "no eviction is in progress";
+    const NEVD: &str = "session is not evicted";
+    const CLEV: &str = "session closed during eviction";
+    const SNAP: &str = "pause the session before snapshotting";
+    const EVICT: &str = "pause the session before evicting";
+    const EVD: &str = "session is already evicted";
+
+    /// Every (event, phase) pair: `→ <next phase> <step>` when the event
+    /// is accepted, else the exact refusal text. `resume+budget` is
+    /// `resume` with budget left; every other row has none.
+    #[rustfmt::skip]
+    const TABLE: [(&str, [&str; 9]); 15] = [
+        //                idle                     running                  pausing                  paused                     evicting/idle            evicting/paused             evicted                 done               closed
+        ("run",           ["→ running enqueue",    RUN,                     RUN,                     "→ running enqueue",       EVI,                     EVI,                        RES,                    FIN,               CLO]),
+        ("pause",         ["→ idle ack",          "→ pausing pausing",     "→ pausing pausing",     "→ paused ack",         "→ evicting/idle ack", "→ evicting/paused ack", "→ evicted ack", "→ done ack",     CLO]),
+        ("resume",        ["→ idle ack",          RUN,                     RUN,                     "→ paused ack",         EVI,                     EVI,                        "→ evicted restore",    FIN,               CLO]),
+        ("resume+budget", ["→ running enqueue",    RUN,                     RUN,                     "→ running enqueue",       EVI,                     EVI,                        "→ evicted restore",    FIN,               CLO]),
+        ("restored",      [NEVD,                   NEVD,                    NEVD,                    NEVD,                      NEVD,                    NEVD,                       "→ paused ack",      NEVD,              CLO]),
+        ("snapshot",      ["→ idle snapshot",      SNAP,                    SNAP,                    "→ paused snapshot",       EVI,                     EVI,                        RES,                    "→ done snapshot", CLO]),
+        ("evict",         ["→ evicting/idle evict", EVICT,                  EVICT,                   "→ evicting/paused evict", EVI,                     EVI,                        EVD,                    FIN,               CLO]),
+        ("written",       [NEV,                    NEV,                     NEV,                     NEV,                       "→ evicted ack",     "→ evicted ack",        NEV,                    NEV,               CLEV]),
+        ("write-failed",  [NEV,                    NEV,                     NEV,                     NEV,                       "→ idle ack",           "→ paused ack",          NEV,                    NEV,               CLEV]),
+        ("close",         ["→ closed close",       "→ closed close",        "→ closed close",        "→ closed close",          "→ closed close",        "→ closed close",           "→ closed close+file",  "→ closed close",  CLO]),
+        // A closed session parks nothing: no `paused` event goes out for
+        // it, even when a shutdown lands before its queued chunk.
+        ("park",          [NRUN,                   "→ paused ack",       "→ paused ack",       NRUN,                      NRUN,                    NRUN,                       NRUN,                   NRUN,              CLO]),
+        ("fault",         [NRUN,                   "→ done ack",           "→ done ack",           NRUN,                      NRUN,                    NRUN,                       NRUN,                   NRUN,              CLO]),
+        ("finished",      [NRUN,                   "→ done ack",           "→ done ack",           NRUN,                      NRUN,                    NRUN,                       NRUN,                   NRUN,              CLO]),
+        ("spent",         [NRUN,                   "→ idle ack",           "→ idle ack",           NRUN,                      NRUN,                    NRUN,                       NRUN,                   NRUN,              CLO]),
+        ("continue",      [NRUN,                   "→ running enqueue",     "→ pausing enqueue",     NRUN,                      NRUN,                    NRUN,                       NRUN,                   NRUN,              CLO]),
+    ];
+
+    fn machine(board: &Board) -> Box<Machine> {
+        Box::new(board.machine().expect("test board builds"))
+    }
+
+    fn session(phase: &str, remaining: u64) -> Session {
+        let board = Board::parse(BOARD).expect("test board parses");
+        let live = |activity| Phase::Live(machine(&board), activity);
+        let phase = match phase {
+            "idle" => live(Activity::Idle),
+            "running" => live(Activity::Running { pausing: false }),
+            "pausing" => live(Activity::Running { pausing: true }),
+            "paused" => live(Activity::Paused),
+            "evicting/idle" => Phase::Evicting(Activity::Idle),
+            "evicting/paused" => Phase::Evicting(Activity::Paused),
+            "evicted" => Phase::Evicted(PathBuf::from("session-1.snap")),
+            "done" => live(Activity::Done),
+            "closed" => Phase::Closed,
+            other => panic!("no phase {other:?}"),
+        };
+        Session {
+            id: 1,
+            board,
+            sample_every: 0,
+            trace: false,
+            phase,
+            remaining,
+            chunk_cycles: 0,
+            touched: Instant::now(),
+            writer: Arc::new(Mutex::new(Box::new(io::sink()))),
+        }
+    }
+
+    fn event(name: &str, board: &Board) -> Event {
+        match name {
+            "run" => Event::Run(7),
+            "pause" => Event::Pause,
+            "resume" | "resume+budget" => Event::Resume,
+            "restored" => Event::Restored(machine(board)),
+            "snapshot" => Event::Snapshot,
+            "evict" => Event::Evict,
+            "written" => Event::Written(Ok(PathBuf::from("session-1.snap"))),
+            "write-failed" => Event::Written(Err(machine(board))),
+            "close" => Event::Close,
+            "park" => Event::Park,
+            "fault" => Event::Fault,
+            "finished" => Event::Finished,
+            "spent" => Event::Spent,
+            "continue" => Event::Continue,
+            other => panic!("no event {other:?}"),
+        }
+    }
+
+    /// The phase as [`PHASES`] names it.
+    fn label(phase: &Phase) -> &'static str {
+        match phase {
+            Phase::Live(_, Activity::Running { pausing: true }) => "pausing",
+            Phase::Evicting(Activity::Idle) => "evicting/idle",
+            Phase::Evicting(Activity::Paused) => "evicting/paused",
+            phase => phase.name(),
+        }
+    }
+
+    fn step_name(step: &Step) -> &'static str {
+        match step {
+            Step::Ack => "ack",
+            Step::Pausing => "pausing",
+            Step::Enqueue => "enqueue",
+            Step::Snapshot { .. } => "snapshot",
+            Step::Restore(_) => "restore",
+            Step::Evict(_) => "evict",
+            Step::Close(None) => "close",
+            Step::Close(Some(_)) => "close+file",
+        }
+    }
+
+    #[test]
+    fn every_phase_event_pair_moves_to_its_table_cell() {
+        let mut wrong = Vec::new();
+        for (name, cells) in TABLE {
+            let remaining = if name == "resume+budget" { 5 } else { 0 };
+            for (phase, want) in PHASES.into_iter().zip(cells) {
+                let mut s = session(phase, remaining);
+                let e = event(name, &s.board);
+                let got = match transition(&mut s, e) {
+                    Ok(step) => format!("→ {} {}", label(&s.phase), step_name(&step)),
+                    Err(refusal) if label(&s.phase) == phase => refusal.to_string(),
+                    Err(refusal) => format!("{refusal} (and moved to {})", label(&s.phase)),
+                };
+                if got != want {
+                    wrong.push(format!("({phase}, {name}): got {got:?}, want {want:?}"));
+                }
+            }
+        }
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+    }
+
+    #[test]
+    fn run_sets_the_budget_and_a_finished_run_clears_it() {
+        let mut s = session("paused", 0);
+        assert!(matches!(
+            transition(&mut s, Event::Run(7)),
+            Ok(Step::Enqueue)
+        ));
+        assert_eq!(s.remaining, 7);
+        for end in [Event::Fault, Event::Finished] {
+            let mut s = session("running", 7);
+            transition(&mut s, end).expect("a running session finishes");
+            assert_eq!(s.remaining, 0);
+        }
+    }
 }

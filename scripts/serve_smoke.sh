@@ -3,9 +3,10 @@
 #
 # Boots the real `disc_served` binary on an ephemeral port, then
 # replays one raw-protocol transcript over a plain socket — hello,
-# create, run, streamed samples, done, stat, close, shutdown — and
-# validates the wire grammar and the streamed disc-run-report/v3 report
-# independently of the Rust client. Exercises the whole service path:
+# create, run, streamed samples, done, stat, the refusals of a finished
+# and of an evicted session, close, shutdown — and validates the wire
+# grammar and the streamed disc-run-report/v3 report independently of
+# the Rust client. Exercises the whole service path:
 # TCP framing, session lifecycle, the worker pool, and observability
 # streaming.
 set -eu
@@ -64,15 +65,23 @@ def recv():
     assert line, "server closed the connection"
     return json.loads(line)
 
-def request(obj):
+def reply(obj):
     send(obj)
     while True:
         msg = recv()
         if "id" in msg:
             assert msg["id"] == obj["id"], msg
-            assert msg.get("ok"), msg
             return msg
         events.append(msg)
+
+def request(obj):
+    msg = reply(obj)
+    assert msg.get("ok"), msg
+    return msg
+
+def refused(obj, text):
+    msg = reply(obj)
+    assert msg.get("ok") is False and msg.get("error") == text, (obj, msg)
 
 events = []
 hello = recv()
@@ -120,8 +129,29 @@ assert all(isinstance(v, int) for v in dispatch["skips"].values()), dispatch
 stat = request({"id": 3, "verb": "stat", "session": session})
 assert stat["state"] == "done", stat
 assert stat["dispatch"] == dispatch, (stat["dispatch"], dispatch)
-request({"id": 4, "verb": "close", "session": session})
-request({"id": 5, "verb": "shutdown"})
+
+# The session phase table over the wire: a finished session refuses
+# every verb that would run it or move it, but still snapshots.
+finished = "session already finished"
+refused({"id": 4, "verb": "run", "session": session, "cycles": 10}, finished)
+refused({"id": 5, "verb": "resume", "session": session}, finished)
+refused({"id": 6, "verb": "evict", "session": session}, finished)
+snap = request({"id": 7, "verb": "snapshot", "session": session})
+assert snap["cycle"] == done["cycles"], (snap, done["cycles"])
+request({"id": 8, "verb": "close", "session": session})
+
+# An idle session evicted: only `resume` brings it back, as paused.
+idle = request({"id": 9, "verb": "create", "board": BOARD,
+                "sample_every": 0, "trace": False})["session"]
+request({"id": 10, "verb": "evict", "session": idle})
+refused({"id": 11, "verb": "evict", "session": idle}, "session is already evicted")
+evicted = "session is evicted; resume it first"
+refused({"id": 12, "verb": "run", "session": idle, "cycles": 10}, evicted)
+refused({"id": 13, "verb": "snapshot", "session": idle}, evicted)
+resumed = request({"id": 14, "verb": "resume", "session": idle})
+assert resumed["state"] == "paused", resumed
+request({"id": 15, "verb": "close", "session": idle})
+request({"id": 16, "verb": "shutdown"})
 
 print("serve-smoke: transcript ok —", len(samples), "sample windows,",
       done["cycles"], "cycles")
