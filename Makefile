@@ -68,8 +68,8 @@ serve-smoke:
 # (see EXPERIMENTS.md "Conformance fuzzing"). `fuzz` replays the
 # regression corpus plus 1000 fixed seeds and exits 1 on any divergence;
 # `fuzz-long` runs a 100k-seed campaign. Each seed is checked against the
-# reference, then under every step x dispatch combo, fresh from cycle 0
-# and split at a mid-run snapshot. A failing seed is minimized, printed,
+# reference, then `run` under both step modes against the plain step
+# loop, fresh from cycle 0 and split at a mid-run snapshot. A failing seed is minimized, printed,
 # and replays with
 # `cargo run --release -p disc-bench --bin fuzz -- --no-corpus --seed <seed> --count 1`.
 fuzz:

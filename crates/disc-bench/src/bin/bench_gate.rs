@@ -55,10 +55,7 @@ struct CoreGate {
 
 impl CoreGate {
     fn build(&self) -> Machine {
-        let board = disc_bench::board(self.name);
-        board
-            .machine_with_modes(self.step, board.config.dispatch_mode)
-            .unwrap_or_else(|e| panic!("{}.board builds: {e}", self.name))
+        disc_bench::machine_in(&disc_bench::board(self.name), self.step)
     }
 }
 

@@ -7,9 +7,9 @@
 //!
 //! Runs the checked-in regression corpus first, then `count` fresh seeds
 //! starting at `seed`, fanned out over `DISC_JOBS` workers. Each seed is
-//! checked against the reference and then under every step × dispatch
-//! combination, both fresh from cycle 0 and split at a mid-run snapshot
-//! (`disc_bench::fuzz::compare`). On any divergence the failing program
+//! checked against the reference and then `run` under both step modes
+//! against the plain step loop, both fresh from cycle 0 and split at a
+//! mid-run snapshot (`disc_bench::fuzz::compare`). On any divergence the failing program
 //! is minimized and its listing printed; exit status 1 signals failure so
 //! CI can gate on it.
 
@@ -69,8 +69,8 @@ fn main() {
                      [--no-minimize]\n\
                      \n\
                      Differential fuzzing of disc-core against disc-ref. Every seed also\n\
-                     runs under each step x dispatch combo, fresh and split at a\n\
-                     mid-run snapshot.\n\
+                     runs under both step modes against the plain step loop, fresh\n\
+                     and split at a mid-run snapshot.\n\
                      \n\
                      --seed N        first generated seed (default 0; 0x hex ok)\n\
                      --count N       number of fresh seeds to run (default 1000)\n\

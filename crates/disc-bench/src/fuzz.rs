@@ -16,14 +16,15 @@
 //! per-stream retired program-order), plus globals, internal memory and
 //! external memory.
 //!
-//! The same check ([`compare`]) then holds every step × dispatch
-//! combination ([`MODE_COMBOS`]) to that result twice: once run fresh
+//! The same check ([`compare`]) then holds [`Machine::run`] under both
+//! step modes ([`MODE_COMBOS`]) to that result twice: once run fresh
 //! from cycle 0, and once split at a seed-derived cycle strictly inside
 //! the run, snapshotted, restored into a new machine and run to the end
 //! (the head machine, run on past the split, must end the same way).
 //! That second half is [`check_modes`], the repository's one
 //! mode-equivalence check: the `equivalence` test suite holds every
-//! board row to it as well, with host interrupts fed by [`drive`].
+//! board row to it as well, against the plain [`Machine::step`] loop
+//! ([`step_to`]) and with host interrupts fed by [`drive`].
 //!
 //! On mismatch, [`minimize`] nops out instructions to a fixed point while
 //! preserving the divergence, so regressions land as one-line seeds plus
@@ -34,7 +35,7 @@ use std::fmt::Write as _;
 
 use disc_board::Board;
 use disc_core::{
-    CycleRecord, DispatchMode, Exit, Machine, MachineConfig, SchedulePolicy, SimError, StepMode,
+    CycleRecord, Exit, Machine, MachineConfig, SchedulePolicy, SimError, Status, StepMode,
     TraceEvent, TraceSink,
 };
 use disc_isa::{encode::encode, AluImmOp, AluOp, AwpMode, Cond, Instruction, Program, Reg};
@@ -91,8 +92,8 @@ impl SplitMix64 {
 }
 
 /// A generated program plus the microarchitecture it should run under and
-/// the comparison mode it supports. The step and dispatch modes are not
-/// knobs: [`compare`] runs every combination.
+/// the comparison mode it supports. The step mode is not a knob:
+/// [`compare`] runs both.
 #[derive(Debug, Clone)]
 pub struct GenProgram {
     /// Seed that produced it.
@@ -120,7 +121,7 @@ pub struct GenProgram {
     /// Board document backing the run, or `None` for the machine's
     /// built-in flat external memory (architecturally invisible). When
     /// drawn, every machine the runner builds — the base run and each
-    /// combo's fresh and split runs — gets the board's peripheral
+    /// step mode's fresh and split runs — gets the board's peripheral
     /// bus: external RAM covering both per-stream data bands at the
     /// drawn latency, plus up to two decorative IRQ-less devices that
     /// perturb event-skip horizons and bus arbitration without touching
@@ -824,21 +825,16 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// Every step-mode × dispatch-mode combination the machine supports.
-pub const MODE_COMBOS: [(StepMode, DispatchMode); 4] = [
-    (StepMode::CycleByCycle, DispatchMode::Legacy),
-    (StepMode::CycleByCycle, DispatchMode::Superblock),
-    (StepMode::EventSkip, DispatchMode::Legacy),
-    (StepMode::EventSkip, DispatchMode::Superblock),
-];
+/// Both step modes: [`check_modes`] holds [`Machine::run`] under each to
+/// the slow reference run.
+pub const MODE_COMBOS: [StepMode; 2] = [StepMode::CycleByCycle, StepMode::EventSkip];
 
-fn machine_config(gp: &GenProgram, step: StepMode, dispatch: DispatchMode) -> MachineConfig {
+fn machine_config(gp: &GenProgram, step: StepMode) -> MachineConfig {
     let mut cfg = MachineConfig::disc1()
         .with_streams(gp.streams)
         .with_window_depth(gp.window_depth)
         .with_default_ext_latency(gp.ext_latency)
-        .with_step_mode(step)
-        .with_dispatch_mode(dispatch);
+        .with_step_mode(step);
     cfg.pipeline_depth = gp.pipeline_depth;
     if let Some(table) = &gp.schedule {
         cfg = cfg.with_schedule(SchedulePolicy::Sequence(table.clone()));
@@ -890,15 +886,15 @@ fn split_point(seed: u64, cycles: u64) -> Option<u64> {
 
 /// Runs `gp` on both models under the given budgets and compares them.
 ///
-/// 1. **Base vs reference.** A cycle-by-cycle, legacy-dispatch machine
-///    with a retire-log sink runs to completion; its exit, retire order
-///    and final architectural state must match the `disc-ref`
-///    interpreter's.
-/// 2. **Every combo, fresh and split.** [`check_modes`] holds every
-///    [`MODE_COMBOS`] entry to the base run: sink-free machines (so event
-///    skip and superblock bursts can engage) run fresh from cycle 0, and
-///    split at a seed-derived cycle strictly inside the base run,
-///    snapshotted and restored into a new machine.
+/// 1. **Base vs reference.** A machine whose retire-log sink frames
+///    every cycle, and so pins both fast paths off, runs to completion;
+///    its exit, retire order and final architectural state must match
+///    the `disc-ref` interpreter's.
+/// 2. **Both step modes, fresh and split.** [`check_modes`] holds
+///    `run` under each [`MODE_COMBOS`] entry to the base run: sink-free
+///    machines (so event skip and superblock bursts can engage) run
+///    fresh from cycle 0, and split at a seed-derived cycle strictly
+///    inside the base run, snapshotted and restored into a new machine.
 pub fn compare_with_budget(
     gp: &GenProgram,
     machine_cycles: u64,
@@ -906,8 +902,7 @@ pub fn compare_with_budget(
 ) -> Result<Coverage, Divergence> {
     let mut details = Vec::new();
 
-    let base_cfg = machine_config(gp, StepMode::CycleByCycle, DispatchMode::Legacy);
-    let mut machine = build_machine(gp, base_cfg);
+    let mut machine = build_machine(gp, machine_config(gp, StepMode::CycleByCycle));
     machine.set_trace_sink(Box::new(RetireLog {
         per_stream: vec![Vec::new(); gp.streams],
     }));
@@ -950,7 +945,7 @@ pub fn compare_with_budget(
 
     let mut tail_cycles = [0; MODE_COMBOS.len()];
     match check_modes(
-        |step, dispatch| build_machine(gp, machine_config(gp, step, dispatch)),
+        |step| build_machine(gp, machine_config(gp, step)),
         &[],
         machine_cycles,
         split_point(gp.seed, cycles),
@@ -1274,6 +1269,38 @@ pub fn diff_machines(
 /// simulator error). Because `irqs` is keyed by absolute cycle, where a
 /// caller cuts its `drive` calls does not change the run.
 pub fn drive(m: &mut Machine, end: u64, irqs: &[(u64, usize, u8)]) -> Result<Exit, SimError> {
+    drive_with(m, end, irqs, Machine::run)
+}
+
+/// [`drive`] through the plain [`Machine::step`] loop, the slow reference
+/// every `run` is held to: it neither skips nor bursts, and it stops
+/// where `run` would (halt, breakpoint, all idle under the idle exit).
+pub fn step_to(m: &mut Machine, end: u64, irqs: &[(u64, usize, u8)]) -> Result<Exit, SimError> {
+    // `run`'s own exits, checked where `run` checks them.
+    let finished = |m: &Machine| match (m.halted(), m.idle_exit() && m.all_idle()) {
+        (true, _) => Some(Exit::Halted),
+        (false, idle) => idle.then_some(Exit::AllIdle),
+    };
+    drive_with(m, end, irqs, |m, cycles| {
+        for _ in 0..cycles {
+            if let Some(exit) = finished(m) {
+                return Ok(exit);
+            }
+            if let Status::Breakpoint { stream, pc } = m.step()? {
+                return Ok(Exit::Breakpoint { stream, pc });
+            }
+        }
+        Ok(finished(m).unwrap_or(Exit::CycleLimit))
+    })
+}
+
+/// [`drive`] with `advance(m, n)` in place of `m.run(n)`.
+fn drive_with(
+    m: &mut Machine,
+    end: u64,
+    irqs: &[(u64, usize, u8)],
+    mut advance: impl FnMut(&mut Machine, u64) -> Result<Exit, SimError>,
+) -> Result<Exit, SimError> {
     loop {
         let now = m.cycle();
         if now >= end {
@@ -1290,7 +1317,7 @@ pub fn drive(m: &mut Machine, end: u64, irqs: &[(u64, usize, u8)]) -> Result<Exi
             .filter(|&cycle| cycle > now && cycle < end)
             .min()
             .unwrap_or(end);
-        match m.run(next - now)? {
+        match advance(m, next - now)? {
             Exit::CycleLimit => {}
             exit => return Ok(exit),
         }
@@ -1299,10 +1326,8 @@ pub fn drive(m: &mut Machine, end: u64, irqs: &[(u64, usize, u8)]) -> Result<Exi
 
 /// One [`MODE_COMBOS`] entry's runs in [`check_modes`].
 pub struct ModeRun {
-    /// The combo's step mode.
+    /// The step mode `run` used.
     pub step: StepMode,
-    /// The combo's dispatch mode.
-    pub dispatch: DispatchMode,
     /// The machine [`drive`]n fresh from cycle 0 to the end.
     pub fresh: Machine,
     /// Cycles the split-and-restored machine ran after its restore (0
@@ -1313,8 +1338,9 @@ pub struct ModeRun {
 /// The one mode-equivalence check: quiescence skips, superblock bursts
 /// and snapshot/restore must not change what a run computes.
 ///
-/// `base` was [`drive`]n to `end` under `irqs` and exited `base_exit`.
-/// For every [`MODE_COMBOS`] entry, `build` makes
+/// `base` ran the plain [`Machine::step`] loop to `end` under `irqs`
+/// ([`step_to`], or a per-cycle sink that pins the fast paths off) and
+/// exited `base_exit`. For each [`MODE_COMBOS`] step mode, `build` makes
 ///
 /// 1. a fresh machine, driven from cycle 0 to `end`: it must exit
 ///    `base_exit` and end [`diff_machines`]-equal to `base` (external
@@ -1330,9 +1356,9 @@ pub struct ModeRun {
 ///
 /// # Errors
 ///
-/// Every difference, one line each, prefixed with its combo.
+/// Every difference, one line each, prefixed with its step mode.
 pub fn check_modes(
-    build: impl Fn(StepMode, DispatchMode) -> Machine,
+    build: impl Fn(StepMode) -> Machine,
     irqs: &[(u64, usize, u8)],
     end: u64,
     split_at: Option<u64>,
@@ -1344,21 +1370,21 @@ pub fn check_modes(
     let streams = base.stream_count();
     let internal_len = base.config().internal_words as u16;
     let mut runs = Vec::with_capacity(MODE_COMBOS.len());
-    for (step, dispatch) in MODE_COMBOS {
-        let mut fresh = build(step, dispatch);
+    for step in MODE_COMBOS {
+        let mut fresh = build(step);
         let f_exit = drive(&mut fresh, end, irqs);
         if f_exit != *base_exit {
             details.push(format!(
-                "{step:?}/{dispatch:?} fresh: exit {f_exit:?} vs base {base_exit:?}"
+                "{step:?} fresh: exit {f_exit:?} vs base {base_exit:?}"
             ));
         }
         let mut tail_cycles = 0;
         if let Some(at) = split_at {
-            let label = format!("{step:?}/{dispatch:?} split at cycle {at}");
-            let mut head = build(step, dispatch);
+            let label = format!("{step:?} split at cycle {at}");
+            let mut head = build(step);
             let head_exit = drive(&mut head, at, irqs);
             let mid = head.snapshot();
-            let mut restored = build(step, dispatch);
+            let mut restored = build(step);
             if at == 0 || head_exit != Ok(Exit::CycleLimit) || head.cycle() != at {
                 details.push(format!(
                     "{label}: head run ended {head_exit:?} at cycle {}",
@@ -1399,7 +1425,7 @@ pub fn check_modes(
             }
         }
         diff_machines(
-            &format!("{step:?}/{dispatch:?} fresh"),
+            &format!("{step:?} fresh"),
             base,
             &mut fresh,
             streams,
@@ -1409,7 +1435,6 @@ pub fn check_modes(
         );
         runs.push(ModeRun {
             step,
-            dispatch,
             fresh,
             tail_cycles,
         });
@@ -1584,13 +1609,14 @@ mod tests {
 
     /// `fig_3_4` halts at cycle 32: a split at cycle 1600 would snapshot
     /// a halted machine and restore one that runs nothing, so the check
-    /// must reject it in every combo, and accept a split inside the run.
+    /// must reject it in both step modes, and accept a split inside the
+    /// run.
     #[test]
     fn check_modes_rejects_a_split_past_the_end_of_the_run() {
         let board = crate::board("fig_3_4");
-        let build = |step, dispatch| board.machine_with_modes(step, dispatch).unwrap();
-        let mut base = build(StepMode::CycleByCycle, DispatchMode::Legacy);
-        let exit = drive(&mut base, 4_000, &[]);
+        let build = |step| crate::machine_in(&board, step);
+        let mut base = board.machine().unwrap();
+        let exit = step_to(&mut base, 4_000, &[]);
         assert_eq!((exit.clone(), base.cycle()), (Ok(Exit::Halted), 32));
         let none = BTreeSet::new();
         let details = check_modes(build, &[], 4_000, Some(1_600), &mut base, &exit, &none)

@@ -11,7 +11,7 @@ pub mod figures;
 pub mod fuzz;
 
 use disc_board::Board;
-use disc_core::{SkipStats, StepMode};
+use disc_core::{Machine, SkipStats, StepMode};
 use disc_obs::Json;
 
 /// The committed board catalog: one `<name>.board` file per canonical
@@ -30,6 +30,19 @@ pub fn board(name: &str) -> Board {
     let path = format!("{BOARDS_DIR}/{name}.board");
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     Board::parse(&text).unwrap_or_else(|e| panic!("{name}.board parses: {e}"))
+}
+
+/// Builds `board`'s machine with its step mode replaced by `step`.
+///
+/// # Panics
+///
+/// Panics when the board has no program or it fails to assemble.
+pub fn machine_in(board: &Board, step: StepMode) -> Machine {
+    let mut board = board.clone();
+    board.config.step_mode = step;
+    board
+        .machine()
+        .unwrap_or_else(|e| panic!("{}: {e}", board.name))
 }
 
 /// Builds the v2 `timing` section for a stochastic sweep report: the

@@ -6,19 +6,17 @@
 //! document), a horizon, a host-interrupt schedule and the fast paths
 //! that must engage on it. Each row goes through
 //! [`disc_bench::fuzz::check_modes`], the check the differential fuzzer
-//! holds every generated program to: under every step × dispatch combo,
-//! a run fresh from cycle 0 and a run split at 40 % of the run's length,
-//! snapshotted and restored must reach the plain cycle-by-cycle,
-//! legacy-dispatch run's exit and final state, and the same final
-//! snapshot bytes as each other and as the split head run on to the
-//! end. On top of that every row keeps:
+//! holds every generated program to: under each step mode, a `run`
+//! fresh from cycle 0 and a `run` split at 40 % of the run's length,
+//! snapshotted and restored must reach the plain `step` loop's exit and
+//! final state, and the same final snapshot bytes as each other and as
+//! the split head run on to the end. On top of that every row keeps:
 //!
-//! * per-combo attribution balance (the buckets sum to the cycles);
-//! * the rendered stats, config section and config fingerprint of every
-//!   combo equal to the base run's (the run report is built from them);
+//! * per-mode attribution balance (the buckets sum to the cycles);
+//! * the rendered stats, config section and config fingerprint of each
+//!   mode equal to the step loop's (the run report is built from them);
 //! * burst pacing independent of the step mode where no skip fired;
-//! * no skip without event skip and no burst without superblock
-//!   dispatch;
+//! * no skip without event skip;
 //! * its declared non-vacuity: skips, bursts or window spills that must
 //!   engage, or the row proves nothing about that path.
 //!
@@ -28,19 +26,20 @@
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 
-use disc_bench::fuzz::{check_modes, drive, MODE_COMBOS};
+use disc_bench::fuzz::{check_modes, drive, step_to, MODE_COMBOS};
+use disc_bench::machine_in;
 use disc_board::Board;
 use disc_bus::{PeripheralBus, Shared, Uart};
-use disc_core::{DispatchMode, Exit, Machine, MachineConfig, SimError, StepMode};
+use disc_core::{Exit, Machine, MachineConfig, SimError, StepMode};
 use disc_isa::Program;
 use disc_obs::{config_fingerprint, config_json, stats_json, JsonlSink, WireSink};
 
 /// A fast path a row must see engage.
 #[derive(Clone, Copy, PartialEq)]
 enum Engage {
-    /// Every event-skip combo skips.
+    /// The event-skip run skips.
     Skips,
-    /// Every superblock combo bursts.
+    /// The run bursts under both step modes.
     Bursts,
     /// The window file spills.
     Spills,
@@ -84,11 +83,7 @@ impl Row {
     /// [`check`] over the row's board.
     fn check(&self) -> Result<Result<Exit, SimError>, Vec<String>> {
         let board = self.board();
-        let build = |step, dispatch| {
-            board
-                .machine_with_modes(step, dispatch)
-                .unwrap_or_else(|e| panic!("{}: {e}", self.name))
-        };
+        let build = |step| machine_in(&board, step);
         check(build, self.end, &self.irqs(), self.engages)
     }
 }
@@ -97,18 +92,18 @@ const NONE: &[Engage] = &[];
 const SKIPS: &[Engage] = &[Engage::Skips];
 const BURSTS: &[Engage] = &[Engage::Bursts];
 
-/// Runs the plain cycle-by-cycle, legacy-dispatch base to `end`, holds
-/// every combo to it through [`check_modes`] with the split at 40 % of
-/// the base run's length, then applies the suite's own checks. Returns
-/// the base run's exit.
+/// Runs the plain `step` loop to `end`, holds `run` under each step mode
+/// to it through [`check_modes`] with the split at 40 % of the step
+/// loop's length, then applies the suite's own checks. Returns the step
+/// loop's exit.
 fn check(
-    build: impl Fn(StepMode, DispatchMode) -> Machine,
+    build: impl Fn(StepMode) -> Machine,
     end: u64,
     irqs: &[(u64, usize, u8)],
     engages: &[Engage],
 ) -> Result<Result<Exit, SimError>, Vec<String>> {
-    let mut base = build(StepMode::CycleByCycle, DispatchMode::Legacy);
-    let base_exit = drive(&mut base, end, irqs);
+    let mut base = build(StepMode::CycleByCycle);
+    let base_exit = step_to(&mut base, end, irqs);
     let split_at = base.cycle() * 2 / 5;
     let runs = check_modes(
         &build,
@@ -122,12 +117,10 @@ fn check(
 
     let mut details = Vec::new();
     let mut fail = |what: String| details.push(what);
-    let plain_bursts = runs
-        .iter()
-        .find(|r| (r.step, r.dispatch) == (StepMode::CycleByCycle, DispatchMode::Superblock))
-        .map(|r| *r.fresh.superblock_stats());
+    // `MODE_COMBOS` lists `CycleByCycle` first.
+    let plain_bursts = *runs[0].fresh.superblock_stats();
     for run in &runs {
-        let (m, combo) = (&run.fresh, format!("{:?}/{:?}", run.step, run.dispatch));
+        let (m, combo) = (&run.fresh, format!("{:?}", run.step));
         let (skips, bursts) = (*m.skip_stats(), *m.superblock_stats());
         if let Err(e) = m.stats().attribution.check(m.stats().cycles) {
             fail(format!("{combo}: attribution unbalanced: {e:?}"));
@@ -137,20 +130,14 @@ fn check(
             || config_fingerprint(m.config()) != config_fingerprint(base.config())
         {
             fail(format!(
-                "{combo}: report sections diverge from the base run"
+                "{combo}: report sections diverge from the step loop's"
             ));
         }
-        let (skip_mode, burst_mode) = (
-            run.step == StepMode::EventSkip,
-            run.dispatch == DispatchMode::Superblock,
-        );
+        let skip_mode = run.step == StepMode::EventSkip;
         if !skip_mode && skips.skips != 0 {
             fail(format!("{combo}: skipped without event skip"));
         }
-        if !burst_mode && (bursts.bursts != 0 || bursts.burst_cycles != 0) {
-            fail(format!("{combo}: burst without superblock dispatch"));
-        }
-        if skip_mode && burst_mode && skips.skips == 0 && Some(bursts) != plain_bursts {
+        if skip_mode && skips.skips == 0 && bursts != plain_bursts {
             fail(format!("{combo}: burst pacing depends on the step mode"));
         }
         if skip_mode
@@ -160,15 +147,12 @@ fn check(
             fail(format!("{combo}: event skip never engaged ({skips:?})"));
         }
         let issues: u64 = m.stats().attribution.issue.iter().sum();
-        if burst_mode
-            && engages.contains(&Engage::Bursts)
+        if engages.contains(&Engage::Bursts)
             && (bursts.bursts == 0
                 || bursts.burst_cycles < bursts.bursts
                 || bursts.burst_issues > issues)
         {
-            fail(format!(
-                "{combo}: superblock dispatch never burst ({bursts:?})"
-            ));
+            fail(format!("{combo}: run never burst ({bursts:?})"));
         }
     }
     if engages.contains(&Engage::Spills) && base.stats().spill_stall_cycles.iter().sum::<u64>() == 0
@@ -604,21 +588,18 @@ fn uart_storm_overflow_accounting_matches_across_modes() {
     )
     .expect("uart storm program assembles");
     let words: Vec<u16> = (1..=40).collect();
-    // Every machine the check builds (base, and each combo's fresh,
-    // split head and restored copy) runs to the end, so each UART it
-    // leaves behind must hold the base run's accounting.
+    // Every machine the check builds (the step loop, and each step
+    // mode's fresh, split head and restored copy) runs to the end, so
+    // each UART it leaves behind must hold the step loop's accounting.
     let uarts = RefCell::new(Vec::new());
-    let storm = |step, dispatch| {
+    let storm = |step| {
         let uart = Shared::new(Uart::new(30).with_irq(1, 5).with_rx_capacity(4));
         uart.borrow().feed(5, words.clone());
         let mut bus = PeripheralBus::new();
         bus.map(0xb000, Uart::REGS, Box::new(uart.handle()))
             .expect("map uart");
-        uarts.borrow_mut().push(((step, dispatch), uart));
-        let config = MachineConfig::disc1()
-            .with_streams(2)
-            .with_step_mode(step)
-            .with_dispatch_mode(dispatch);
+        uarts.borrow_mut().push((step, uart));
+        let config = MachineConfig::disc1().with_streams(2).with_step_mode(step);
         let mut m = Machine::with_bus(config, &program, Box::new(bus));
         m.set_idle_exit(false);
         m
@@ -638,67 +619,67 @@ fn uart_storm_overflow_accounting_matches_across_modes() {
         words.len() as u64,
         "every stormed word is echoed, dropped, or still queued"
     );
-    let mut combos = Vec::new();
-    for (combo, uart) in &uarts {
+    // The step loop, then a fresh, head and restored machine per mode.
+    assert_eq!(uarts.len(), 1 + 3 * MODE_COMBOS.len());
+    for (step, uart) in &uarts {
         assert_eq!(
             accounting(uart),
             (base_tx.clone(), base_overflows, base_pending),
-            "{combo:?}: UART overflow accounting depends on the fast paths"
+            "{step:?}: UART overflow accounting depends on the fast paths"
         );
-        if !combos.contains(combo) {
-            combos.push(*combo);
-        }
     }
-    assert_eq!(combos.len(), MODE_COMBOS.len(), "{combos:?}");
 }
 
-/// A per-cycle sink sees every cycle, so it pins both fast paths off and
-/// yields byte-identical JSONL whether or not they are enabled: on a
-/// parked timer board that otherwise skips, and on a compute board that
-/// otherwise bursts.
+/// [`drive`] or [`step_to`].
+type Advance = fn(&mut Machine, u64, &[(u64, usize, u8)]) -> Result<Exit, SimError>;
+
+/// A per-cycle sink sees every cycle, so it pins both fast paths off:
+/// `run` under each step mode yields the plain `step` loop's JSONL bytes
+/// on a parked timer board that otherwise skips, and on a compute board
+/// that otherwise bursts.
 #[test]
 fn per_cycle_trace_sink_pins_fast_paths_off_with_identical_bytes() {
     for (name, cycles) in [("timer_idle_1s", 5_000), ("compute_bound_4s", 2_000)] {
         let board = disc_bench::board(name);
-        let trace = |step, dispatch| {
-            let mut m = board.machine_with_modes(step, dispatch).expect("builds");
+        let trace = |step, advance: Advance| {
+            let mut m = machine_in(&board, step);
             m.set_trace_sink(Box::new(JsonlSink::new(Vec::<u8>::new())));
-            drive(&mut m, cycles, &[]).expect("traced run");
+            advance(&mut m, cycles, &[]).expect("traced run");
             let engaged = (m.skip_stats().skips, m.superblock_stats().bursts);
             let sink = m.take_trace_sink().unwrap().into_any();
             let (bytes, err) = sink.downcast::<JsonlSink<Vec<u8>>>().unwrap().into_inner();
             assert!(err.is_none(), "{name}: sink write error");
             (bytes, engaged)
         };
-        let (plain, _) = trace(StepMode::CycleByCycle, DispatchMode::Legacy);
-        let (fast, engaged) = trace(StepMode::EventSkip, DispatchMode::Superblock);
-        assert_eq!(
-            engaged,
-            (0, 0),
-            "{name}: a per-cycle sink must pin skips and bursts off"
-        );
+        let (plain, _) = trace(StepMode::CycleByCycle, step_to);
         assert!(!plain.is_empty(), "{name}: trace must not be empty");
-        assert!(
-            plain == fast,
-            "{name}: trace bytes depend on the fast paths"
-        );
+        for step in MODE_COMBOS {
+            let (fast, engaged) = trace(step, drive);
+            assert_eq!(
+                engaged,
+                (0, 0),
+                "{name}/{step:?}: a per-cycle sink must pin skips and bursts off"
+            );
+            assert!(
+                plain == fast,
+                "{name}/{step:?}: trace bytes depend on the fast paths"
+            );
+        }
     }
 }
 
 /// A counters-only sampling sink does not pin bursts off: bursts run
 /// between window boundaries (bounded by the sink's `next_observe`),
 /// the boundary cycle itself is stepped and observed, and the streamed
-/// sample bytes match legacy dispatch.
+/// sample bytes match the plain `step` loop's.
 #[test]
 fn sampling_sink_bursts_between_window_boundaries_with_identical_samples() {
     let board = disc_bench::board("compute_bound_4s");
-    let samples = |dispatch| {
-        let mut m = board
-            .machine_with_modes(StepMode::CycleByCycle, dispatch)
-            .expect("builds");
+    let samples = |advance: Advance| {
+        let mut m = board.machine().expect("builds");
         let wire = std::sync::Arc::new(std::sync::Mutex::new(Vec::<u8>::new()));
         m.set_trace_sink(Box::new(WireSink::new(wire.clone(), 7, 64)));
-        drive(&mut m, 2_000, &[]).expect("sampled run");
+        advance(&mut m, 2_000, &[]).expect("sampled run");
         let bursts = m.superblock_stats().bursts;
         let sink = m.take_trace_sink().unwrap().into_any();
         let mut sink = sink.downcast::<WireSink<Vec<u8>>>().unwrap();
@@ -707,20 +688,19 @@ fn sampling_sink_bursts_between_window_boundaries_with_identical_samples() {
         let bytes = wire.lock().unwrap().clone();
         (bytes, bursts)
     };
-    let (legacy, legacy_bursts) = samples(DispatchMode::Legacy);
-    let (burst, bursts) = samples(DispatchMode::Superblock);
-    assert_eq!(legacy_bursts, 0);
+    let (plain, _) = samples(step_to);
+    let (burst, bursts) = samples(drive);
     assert!(
         bursts > 0,
         "a boundary-sampling sink must not pin bursts off"
     );
-    assert!(!legacy.is_empty(), "samples must stream");
-    assert!(legacy == burst, "sample bytes diverge across dispatchers");
+    assert!(!plain.is_empty(), "samples must stream");
+    assert!(plain == burst, "sample bytes diverge from the step loop's");
 }
 
 /// DMA contention must be *visible*: the engine moves every programmed
 /// word, and the bus-master stalls show up as bus-wait attribution
-/// (identical across combos, per the `dma_copy_2s` row).
+/// (identical across step modes, per the `dma_copy_2s` row).
 #[test]
 fn dma_copy_2s_moves_words_and_stalls_streams() {
     let mut m = disc_bench::board("dma_copy_2s")

@@ -37,16 +37,16 @@ fn fresh_seed_block_matches() {
 /// The split runs must not be vacuous: a snapshot taken after the program
 /// finished would restore a done machine and check nothing.
 #[test]
-fn split_runs_execute_a_tail_in_every_combo() {
+fn split_runs_execute_a_tail_in_both_step_modes() {
     for seed in 0..SMOKE_SEEDS {
         let coverage = check_seed(seed).unwrap_or_else(|d| panic!("{d}"));
         if coverage.cycles < 2 {
             continue;
         }
-        for (tail, (step, dispatch)) in coverage.tail_cycles.iter().zip(MODE_COMBOS) {
+        for (tail, step) in coverage.tail_cycles.iter().zip(MODE_COMBOS) {
             assert!(
                 *tail >= 1,
-                "seed {seed:#x}: {step:?}/{dispatch:?} ran nothing after its restore"
+                "seed {seed:#x}: {step:?} ran nothing after its restore"
             );
         }
     }

@@ -64,31 +64,19 @@ pub enum StepMode {
     EventSkip,
 }
 
-/// How [`Machine::run`](crate::Machine::run) dispatches the execute hot
-/// path.
+/// An inert shim: [`Machine::run`](crate::Machine::run) covers every
+/// hazard-frozen stretch with a superblock burst under both values.
 ///
-/// The default threaded/superblock dispatcher predecodes every program
-/// word into a handler index plus hazard masks, executes through a
-/// function-pointer table, and — whenever the machine is in a
-/// *hazard-frozen* state (no outstanding bus transaction, no spill/fill
-/// stall, no in-flight window motion, no deliverable vectored interrupt,
-/// no per-cycle trace sink) — runs cached straight-line superblocks of
-/// predecoded ops in a tight loop with bulk cycle/stat/attribution
-/// updates. The run length is bounded by the same horizon (bus
-/// [`DataBus::next_event`](crate::DataBus::next_event), sink boundaries,
-/// budget) that bounds [`StepMode::EventSkip`] skips, so no peripheral
-/// tick, fault-plan window edge or interrupt is ever jumped over; a
-/// block ends at any branch/fork/signal/bus op or wake-source boundary.
-/// Architectural state, statistics, cycle attribution, traces and reports
-/// are byte-identical between the two modes — the differential fuzzer and
-/// the superblock equivalence suite pin this.
+/// The enum, [`MachineConfig::dispatch_mode`] and
+/// [`MachineConfig::with_dispatch_mode`] remain only because the
+/// repository benchmark still names them; they go once it is ported.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// Threaded-code dispatch plus superblock caching (default).
+    /// The default; no effect.
     #[default]
     Superblock,
-    /// The historical per-cycle dispatcher, kept as the differential
-    /// baseline; never enters a superblock run.
+    /// No effect: `run` bursts exactly as under
+    /// [`DispatchMode::Superblock`].
     Legacy,
 }
 
@@ -159,10 +147,7 @@ pub struct MachineConfig {
     /// default cycle-by-cycle mode is byte-identical to historical
     /// behavior; [`StepMode::EventSkip`] is an opt-in performance mode.
     pub step_mode: StepMode,
-    /// How the execute hot path dispatches instructions. The default
-    /// [`DispatchMode::Superblock`] threaded dispatcher is byte-identical
-    /// to [`DispatchMode::Legacy`] in every architectural observable and
-    /// several times faster on straight-line code.
+    /// Inert: see [`DispatchMode`].
     pub dispatch_mode: DispatchMode,
 }
 
@@ -252,7 +237,8 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the execute-path dispatch mode.
+    /// Sets the inert [`DispatchMode`] shim; `run` behaves the same
+    /// under both values.
     pub fn with_dispatch_mode(mut self, mode: DispatchMode) -> Self {
         self.dispatch_mode = mode;
         self
@@ -261,11 +247,11 @@ impl MachineConfig {
     /// Deterministic 64-bit fingerprint of this configuration. Every
     /// field (including the full schedule contents) folds into the hash,
     /// so two configs fingerprint equal iff they simulate identically.
-    /// [`step_mode`](Self::step_mode) and
-    /// [`dispatch_mode`](Self::dispatch_mode) are deliberately
-    /// *excluded*: they change how fast the simulator walks the cycle
-    /// count, never the architectural outcome — which is what lets one
-    /// warm snapshot fork across every step/dispatch knob combination.
+    /// [`step_mode`](Self::step_mode) is deliberately *excluded*: it
+    /// changes how fast the simulator walks the cycle count, never the
+    /// architectural outcome — which is what lets one warm snapshot fork
+    /// into either step mode. The inert
+    /// [`dispatch_mode`](Self::dispatch_mode) is excluded too.
     ///
     /// This is the fingerprint embedded in `disc-snap/v2` headers; the
     /// `disc-obs` report fingerprint renders the same value as hex.
@@ -418,13 +404,7 @@ mod tests {
         let base = MachineConfig::disc1();
         let fp = base.fingerprint();
         for step in [StepMode::CycleByCycle, StepMode::EventSkip] {
-            for dispatch in [DispatchMode::Superblock, DispatchMode::Legacy] {
-                let c = base
-                    .clone()
-                    .with_step_mode(step)
-                    .with_dispatch_mode(dispatch);
-                assert_eq!(c.fingerprint(), fp, "{step:?}/{dispatch:?}");
-            }
+            assert_eq!(base.clone().with_step_mode(step).fingerprint(), fp);
         }
         assert_ne!(base.clone().with_streams(2).fingerprint(), fp);
         assert_ne!(base.clone().with_abi_timeout(9).fingerprint(), fp);

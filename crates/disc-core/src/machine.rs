@@ -28,7 +28,7 @@ use disc_snap::{splitmix64, SnapError, SnapReader, SnapWriter};
 
 use crate::abi::{Abi, BusOp, RegTarget, Transaction};
 use crate::alu::{alu, eval_cond, imm_op};
-use crate::config::{BusFaultPolicy, DispatchMode, MachineConfig, StepMode};
+use crate::config::{BusFaultPolicy, MachineConfig, StepMode};
 use crate::databus::{DataBus, FlatBus, IrqRequest};
 use crate::error::{Exit, SimError};
 use crate::intmem::InternalMemory;
@@ -404,8 +404,8 @@ pub struct Machine {
     /// Fast-forward accounting, nonzero only under
     /// [`StepMode::EventSkip`].
     skip_stats: SkipStats,
-    /// Superblock fast-path accounting, nonzero only under
-    /// [`DispatchMode::Superblock`].
+    /// Superblock fast-path accounting of [`run`](Self::run); the plain
+    /// [`step`](Self::step) never bursts.
     sb_stats: SuperblockStats,
     /// Slow steps left before the next superblock eligibility probe.
     /// Persistent machine state (not a `run`-local) so splitting a run
@@ -550,8 +550,9 @@ impl Machine {
         &self.skip_stats
     }
 
-    /// Superblock fast-path accounting of [`DispatchMode::Superblock`].
-    /// All zero under [`DispatchMode::Legacy`].
+    /// Superblock fast-path accounting of [`run`](Self::run). All zero
+    /// for a machine driven only by [`step`](Self::step), or with a trace
+    /// sink that frames every cycle.
     pub fn superblock_stats(&self) -> &SuperblockStats {
         &self.sb_stats
     }
@@ -691,6 +692,12 @@ impl Machine {
         self.idle_exit = enabled;
     }
 
+    /// Whether [`Machine::run`] returns [`Exit::AllIdle`] on an idle
+    /// machine (see [`set_idle_exit`](Self::set_idle_exit)).
+    pub fn idle_exit(&self) -> bool {
+        self.idle_exit
+    }
+
     /// Starts collecting a cycle trace of at most `capacity` cycles into
     /// the built-in bounded ring buffer. Capacity 0 keeps nothing (the
     /// machine still runs, the buffer just stays empty).
@@ -755,9 +762,9 @@ impl Machine {
     ///
     /// * under [`StepMode::EventSkip`], a provably quiescent machine
     ///   jumps straight to the horizon with one bulk counter update;
-    /// * otherwise, under [`DispatchMode::Superblock`] with no probe
-    ///   backoff pending, a hazard-frozen machine bursts up to the horizon
-    ///   through the superblock fast path.
+    /// * otherwise, with no probe backoff pending, a hazard-frozen
+    ///   machine bursts up to the horizon through the superblock fast
+    ///   path.
     ///
     /// A burst the machine ends is always followed by one slow step,
     /// which owns the instruction or event that ended it. `Halted`,
@@ -798,7 +805,6 @@ impl Machine {
             return Ok(Exit::AllIdle);
         }
         let skip = self.config.step_mode == StepMode::EventSkip;
-        let superblock = self.config.dispatch_mode == DispatchMode::Superblock;
         let mut remaining = max_cycles;
         let exit = loop {
             if remaining == 0 {
@@ -817,15 +823,13 @@ impl Machine {
                 }
                 self.skip_carry = false;
             }
-            if superblock {
-                if self.sb_backoff == 0 {
-                    remaining -= self.burst(remaining)?;
-                    if remaining == 0 {
-                        break Exit::CycleLimit;
-                    }
-                } else {
-                    self.sb_backoff -= 1;
+            if self.sb_backoff == 0 {
+                remaining -= self.burst(remaining)?;
+                if remaining == 0 {
+                    break Exit::CycleLimit;
                 }
+            } else {
+                self.sb_backoff -= 1;
             }
             match self.slow_step()? {
                 Status::Running => {}
@@ -1053,8 +1057,7 @@ impl Machine {
     fn burst_entry(&mut self, budget: u64) -> Option<(u32, u64)> {
         // A sink that frames every cycle pins bursts off entirely; a
         // boundary-sampling sink merely bounds the run via the horizon.
-        if self.halted
-            || self.trace.as_ref().is_some_and(|sink| sink.wants_records())
+        if self.trace.as_ref().is_some_and(|sink| sink.wants_records())
             || self.abi.busy()
             || self.scheduler.sequence().is_none()
         {
@@ -2445,9 +2448,9 @@ impl Machine {
     /// The blob begins with a fingerprint of the machine configuration and
     /// a hash of the program image; [`restore`](Self::restore) refuses
     /// blobs taken under an incompatible configuration or a different
-    /// program. The fingerprint deliberately excludes
-    /// [`StepMode`]/[`DispatchMode`] — those knobs are timing-invisible,
-    /// so a snapshot taken under one mode restores under any other.
+    /// program. The fingerprint deliberately excludes [`StepMode`] — it
+    /// is timing-invisible, so a snapshot taken under one step mode
+    /// restores under the other.
     ///
     /// Snapshots capture state *between* cycles; call this only at a cycle
     /// boundary (never from inside a [`TraceSink`] callback).
@@ -2531,7 +2534,7 @@ impl Machine {
     ///
     /// The machine must have been constructed with a configuration whose
     /// [`fingerprint`](MachineConfig::fingerprint) matches the snapshot's
-    /// (step/dispatch mode may differ), the same program, and a bus of the
+    /// (the step mode may differ), the same program, and a bus of the
     /// same kind and construction — trait objects cannot be rebuilt from
     /// bytes, so restore *applies* serialized state to an
     /// identically-assembled machine rather than conjuring one.

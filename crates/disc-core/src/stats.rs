@@ -307,14 +307,13 @@ impl SkipStats {
     }
 }
 
-/// Counters describing how much work the superblock dispatcher
-/// ([`DispatchMode::Superblock`](crate::DispatchMode)) ran through its
-/// cached fast path.
+/// Counters describing how much work [`Machine::run`](crate::Machine::run)
+/// ran through its superblock fast path.
 ///
 /// Kept separate from [`MachineStats`] on purpose, like [`SkipStats`]: the
-/// architectural statistics must compare equal between dispatch modes,
-/// while these counters are zero under the legacy dispatcher by
-/// construction.
+/// architectural statistics must compare equal between `run` and the
+/// plain [`Machine::step`](crate::Machine::step) loop, while these
+/// counters are zero under the step loop by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SuperblockStats {
     /// Superblock runs entered (a run covers at least one cycle).

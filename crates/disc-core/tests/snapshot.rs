@@ -4,9 +4,7 @@
 //! restore must refuse blobs from an incompatible configuration or a
 //! different program.
 
-use disc_core::{
-    DispatchMode, Exit, Machine, MachineConfig, SimError, SnapError, StepMode, TraceSink,
-};
+use disc_core::{Exit, Machine, MachineConfig, SimError, SnapError, Status, StepMode, TraceSink};
 use disc_isa::Program;
 
 fn busy_program() -> Program {
@@ -67,23 +65,25 @@ fn machine_digest(m: &Machine) -> (u64, u64, u64, Vec<u16>, u16, u16) {
     )
 }
 
+/// A fork taken mid-run, into either step mode, stays cycle-identical to
+/// the original driven on by the plain `step` loop.
 #[test]
 fn fork_mid_run_stays_cycle_identical() {
     let program = busy_program();
     let mut original = Machine::new(MachineConfig::disc1(), &program);
     warm_up(&mut original, 40);
-
-    let mut fork = Machine::new(MachineConfig::disc1(), &program);
-    fork.restore(&original.snapshot()).expect("fork");
-    assert_eq!(machine_digest(&original), machine_digest(&fork));
-
-    let a = original.run(400).expect("original tail");
-    let b = fork.run(400).expect("fork tail");
-    assert_eq!(a, b);
-    assert_eq!(machine_digest(&original), machine_digest(&fork));
-    assert_eq!(original.stats(), fork.stats());
-    assert_eq!(original.skip_stats(), fork.skip_stats());
-    assert_eq!(original.scheduler_grants(), fork.scheduler_grants());
+    let warm = original.snapshot();
+    for _ in 0..400 {
+        assert_eq!(original.step().expect("original tail"), Status::Running);
+    }
+    for step in [StepMode::CycleByCycle, StepMode::EventSkip] {
+        let mut fork = Machine::new(MachineConfig::disc1().with_step_mode(step), &program);
+        fork.restore(&warm).expect("fork");
+        assert_eq!(fork.run(400).expect("fork tail"), Exit::CycleLimit);
+        assert_eq!(machine_digest(&fork), machine_digest(&original), "{step:?}");
+        assert_eq!(fork.stats(), original.stats(), "{step:?}");
+        assert_eq!(fork.scheduler_grants(), original.scheduler_grants());
+    }
 }
 
 #[test]
@@ -97,34 +97,6 @@ fn restore_roundtrips_identity() {
     // A snapshot of the restored machine must be byte-identical: nothing
     // may be lost or re-derived differently on the second trip.
     assert_eq!(snap, fresh.snapshot());
-}
-
-#[test]
-fn fork_across_step_and_dispatch_modes() {
-    let program = busy_program();
-    let mut base = Machine::new(MachineConfig::disc1(), &program);
-    warm_up(&mut base, 40);
-    let base_exit = base.run(500).expect("base tail");
-    let reference = machine_digest(&base);
-
-    let mut warm = Machine::new(MachineConfig::disc1(), &program);
-    warm_up(&mut warm, 40);
-    for (step, dispatch) in [
-        (StepMode::CycleByCycle, DispatchMode::Legacy),
-        (StepMode::EventSkip, DispatchMode::Superblock),
-        (StepMode::EventSkip, DispatchMode::Legacy),
-    ] {
-        let mut config = MachineConfig::disc1();
-        config.step_mode = step;
-        config.dispatch_mode = dispatch;
-        let latency = config.default_ext_latency;
-        let bus = Box::new(disc_core::FlatBus::new(latency));
-        let mut fork = Machine::with_bus(config, &program, bus);
-        fork.restore(&warm.snapshot()).expect("cross-mode fork");
-        let exit = fork.run(500).expect("fork tail");
-        assert_eq!(exit, base_exit, "{step:?}/{dispatch:?}");
-        assert_eq!(machine_digest(&fork), reference, "{step:?}/{dispatch:?}");
-    }
 }
 
 #[test]

@@ -79,7 +79,9 @@ pub struct ServerConfig {
     /// by roughly this duration. `Duration::ZERO` disables adaptation
     /// (fixed baseline chunks).
     pub chunk_latency: Duration,
-    /// Where evicted sessions' snapshots go.
+    /// Where evicted sessions' snapshots go. Created by the first
+    /// eviction; shutdown deletes the snapshots still there, then the
+    /// directory if that leaves it empty.
     pub evict_dir: PathBuf,
     /// Evict sessions idle (paused or between runs) longer than this;
     /// `None` disables the sweeper.
@@ -400,10 +402,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fails when the address cannot be bound or the eviction directory
-    /// cannot be created.
+    /// Fails when the address cannot be bound.
     pub fn bind(addr: &str, config: ServerConfig) -> io::Result<Server> {
-        std::fs::create_dir_all(&config.evict_dir)?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
@@ -462,6 +462,15 @@ impl Server {
         // instead of re-enqueueing, so this drains promptly even with
         // long runs outstanding.
         self.shared.pool.wait_idle();
+        // No one can resume these now. The dir goes only when empty: other
+        // servers in this process may share it.
+        let slots: Vec<_> = self.shared.table().values().cloned().collect();
+        for slot in slots {
+            if let Phase::Evicted(path) = &slot.lock().expect("session poisoned").phase {
+                let _ = std::fs::remove_file(path);
+            }
+        }
+        let _ = std::fs::remove_dir(&self.shared.config.evict_dir);
         Ok(())
     }
 
@@ -747,8 +756,9 @@ fn write_eviction(
     if let Some(delay) = shared.config.evict_write_delay {
         std::thread::sleep(delay);
     }
-    let path = shared.config.evict_dir.join(format!("session-{id}.snap"));
-    let written = std::fs::write(&path, &bytes);
+    let dir = &shared.config.evict_dir;
+    let path = dir.join(format!("session-{id}.snap"));
+    let written = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &bytes));
     let event = Event::Written(written.as_ref().map(|()| path.clone()).map_err(|_| machine));
     if let Err(refusal) = transition(&mut slot.lock().expect("session poisoned"), event) {
         // Closed mid-write: the table entry is gone, so nothing can ever

@@ -1,7 +1,8 @@
-//! No snapshot file outlives `close`: closing an evicted session deletes
-//! its snapshot, and a close that lands while an eviction is still
-//! writing leaves the evictor to delete what it wrote and nack the
-//! `evict`.
+//! No snapshot file outlives `close` or the server: closing an evicted
+//! session deletes its snapshot, a close that lands while an eviction is
+//! still writing leaves the evictor to delete what it wrote and nack the
+//! `evict`, and shutdown deletes the snapshots of sessions still evicted
+//! along with the evict dir.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -39,21 +40,15 @@ fn bind(tag: &str, evict_write_delay: Option<Duration>) -> (ServerHandle, String
     (handle, addr, evict_dir)
 }
 
-fn shutdown(addr: &str, handle: ServerHandle) {
+/// Shuts the server down, which removes its evict dir only if no
+/// snapshot of a closed session is left in it.
+fn shutdown(addr: &str, handle: ServerHandle, dir: &Path) {
     Client::connect(addr)
         .expect("connect for shutdown")
         .shutdown()
         .expect("shutdown");
     handle.join().expect("server exits cleanly");
-}
-
-fn assert_no_snapshots(dir: &Path) {
-    let left: Vec<_> = std::fs::read_dir(dir)
-        .expect("evict dir exists")
-        .map(|entry| entry.expect("dir entry").file_name())
-        .collect();
-    assert!(left.is_empty(), "snapshot files outlived close: {left:?}");
-    std::fs::remove_dir(dir).expect("remove the empty evict dir");
+    assert!(!dir.exists(), "the evict dir outlived the server");
 }
 
 fn state(c: &mut Client, session: u64) -> String {
@@ -75,8 +70,7 @@ fn closing_an_evicted_session_deletes_its_snapshot() {
     assert!(path.exists(), "evict acked but wrote no snapshot");
     c.close(session).expect("close");
     assert!(!path.exists(), "close left the snapshot behind");
-    assert_no_snapshots(&dir);
-    shutdown(&addr, handle);
+    shutdown(&addr, handle, &dir);
 }
 
 #[test]
@@ -103,6 +97,25 @@ fn close_during_an_eviction_nacks_the_evict_and_leaves_no_file() {
         Err(ServeError::Nack(msg)) => assert_eq!(msg, "session closed during eviction"),
         other => panic!("evict of a session closed mid-write: {other:?}"),
     }
-    assert_no_snapshots(&dir);
-    shutdown(&addr, handle);
+    shutdown(&addr, handle, &dir);
+}
+
+#[test]
+fn shutdown_deletes_evicted_snapshots_and_an_evict_dir_only_eviction_made() {
+    // Evicted and never closed.
+    let (handle, addr, dir) = bind("evict-shutdown", None);
+    let mut c = Client::connect(&addr).expect("connect");
+    let session = c.create_board(BOARD, 0, false).expect("create");
+    c.evict(session).expect("evict");
+    assert!(dir.exists(), "the eviction made no evict dir");
+    shutdown(&addr, handle, &dir);
+
+    // Never evicts: the dir is never made.
+    let (handle, addr, dir) = bind("no-evict", None);
+    let mut c = Client::connect(&addr).expect("connect");
+    let session = c.create_board(BOARD, 0, false).expect("create");
+    c.run(session, 1_000).expect("run");
+    c.wait_done(session).expect("done");
+    assert!(!dir.exists(), "made an evict dir without evicting");
+    shutdown(&addr, handle, &dir);
 }

@@ -12,10 +12,9 @@
 //! [`read_header`]): magic, format string, a configuration fingerprint and
 //! a program hash. Restore refuses blobs whose fingerprints do not match
 //! the receiving machine, so state can never be applied across an
-//! incompatible configuration. Fields that are *timing-invisible* (step
-//! mode, dispatch mode) are excluded from the fingerprint by the producer,
-//! which is what allows forking one warm snapshot across every
-//! step/dispatch knob combination.
+//! incompatible configuration. Timing-invisible fields (the step mode)
+//! are excluded from the fingerprint by the producer, which is what
+//! allows forking one warm snapshot into either step mode.
 //!
 //! The crate also defines [`ReplayableRng`], the one accessor behind which
 //! every seeded random source in the workspace (the `disc-stoch` sampler,
